@@ -8,8 +8,8 @@
 //! executor keeps the data plane on one thread regardless of fleet size;
 //! these benchmarks pin down what that costs (or saves) in end-to-end
 //! submit → completion latency as the fleet grows.  The 24-node numbers are
-//! directly comparable to the threaded-baseline figures recorded in
-//! `BENCH_session.json`.
+//! directly comparable to the thread-per-worker baseline quoted in
+//! `BENCH_async.json`.
 //!
 //! Run with `cargo bench -p helix-bench --bench async_runtime`; results are
 //! recorded in `BENCH_async.json` at the repository root.

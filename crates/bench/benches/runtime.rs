@@ -1,4 +1,4 @@
-//! Criterion benchmarks for the multi-threaded prototype runtime.
+//! Criterion benchmarks for the async prototype runtime.
 //!
 //! These measure the control-plane cost of the runtime itself — scheduling,
 //! message passing, dynamic batching and KV paging — by running with the

@@ -2,7 +2,7 @@
 //!
 //! The paper's prototype replaces GPU kernels with a calibrated cost model
 //! (§6.1), and both the discrete-event simulator (`helix-sim`) and the
-//! threaded prototype runtime (`helix-runtime`) execute against it.  Those
+//! async prototype runtime (`helix-runtime`) execute against it.  Those
 //! two crates previously each carried a private copy of the constants and
 //! the batching formula — and the copies had drifted (`KV_OVERFLOW_PENALTY`
 //! was 4.0 in the simulator and 8.0 in the runtime, silently making the two

@@ -43,6 +43,9 @@
 //!   [`PlacementDelta`]s, and the [`ReplanPolicy`] both execution surfaces
 //!   share.  [`FleetTopology::replan`] applies them by re-solving only the
 //!   affected models, warm.
+//! * [`control`] — the sans-IO [`ControlCore`] that makes the coordinator's
+//!   decisions (admission, replication, fail-over, re-plan) once for both
+//!   execution surfaces; the simulator and the runtime are its drivers.
 //! * [`scheduling`] — baseline schedulers (Swarm throughput-proportional,
 //!   random, shortest-queue-first) used in the §6.7 scheduling deep dive.
 //!
@@ -66,6 +69,7 @@
 //! assert!(scheduler.num_pipelines_possible() >= 1);
 //! ```
 
+pub mod control;
 pub mod error;
 pub mod exec_model;
 pub mod fleet;
@@ -77,6 +81,9 @@ pub mod replan;
 pub mod scheduling;
 pub mod topology;
 
+pub use control::{
+    Admitted, ControlCore, Failover, InFlightRequest, Progress, Replan, RequestSpec, Trickle,
+};
 pub use error::HelixError;
 pub use exec_model::{ExecModel, Phase, WorkUnit};
 pub use fleet::{

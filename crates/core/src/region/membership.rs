@@ -114,7 +114,7 @@ struct RegionEntry {
 ///
 /// All time is caller-supplied seconds (simulated or wall — the directory
 /// does not read a clock), so membership behaves identically over the
-/// discrete-event simulator and the threaded runtime.
+/// discrete-event simulator and the async runtime.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegionDirectory {
     options: MembershipOptions,

@@ -1,9 +1,11 @@
 //! The coordinator: request admission, per-request pipeline scheduling and
 //! lifecycle tracking.
 //!
-//! This is the runtime counterpart of the coordinator in the paper's Fig. 3:
-//! when a request arrives it asks the configured [`Scheduler`] for a
-//! per-request pipeline, sends the request to the pipeline's first node, and
+//! This is the runtime counterpart of the coordinator in the paper's Fig. 3,
+//! and a driver of the shared [`ControlCore`], which makes every control
+//! decision (admission, replication, fail-over, re-plan) for both surfaces:
+//! when a request arrives the core picks its pipeline — prefix home or the
+//! model's [`Scheduler`] — the coordinator sends it to the first node, and
 //! when the last node reports a finished iteration it either launches the
 //! next decode iteration on the *same* pipeline or completes the request and
 //! releases its KV cache everywhere (§5.1–§5.2).
@@ -33,13 +35,12 @@ use crate::message::{Envelope, Phase, RuntimeMsg, StageWork};
 use crate::metrics::RequestOutcome;
 use crate::registry::{WorkerKey, WorkerRegistry, WorkerSpawner};
 use helix_cluster::{ModelId, NodeId, TOKEN_WIRE_BYTES};
-use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
-    select_standby, ClusterState, EngineCounters, FailoverRecord, FleetTopology, HelixError,
-    IwrrScheduler, KvCacheEstimator, KvMigration, KvTransferModel, KvTransferRecord, LayerRange,
-    NodeDirectory, NodeObservations, ObservationWindows, PlacementDelta, PrefixRoute, PrefixRouter,
-    PrefixStats, PrefixWork, ReplanPolicy, ReplanReason, ReplanRecord, ReplicaTracker,
-    ReplicationPolicy, ReplicationStats, RequestPipeline, Scheduler,
+    Admitted, ClusterState, ControlCore, EngineCounters, FailoverRecord, FleetTopology,
+    InFlightRequest, IwrrScheduler, KvCacheEstimator, KvMigration, KvTransferRecord, LayerRange,
+    NodeDirectory, NodeObservations, PlacementDelta, PrefixStats, PrefixWork, Progress, Replan,
+    ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy, ReplicationStats, RequestPipeline,
+    RequestSpec, Scheduler, Trickle,
 };
 use helix_workload::{Request, RequestId, Workload};
 use minirt::channel::{Receiver, Sender, TryRecvError};
@@ -128,18 +129,6 @@ pub(crate) struct CoordinatorSpec {
     pub policy: Option<ReplanPolicy>,
 }
 
-/// The coordinator's standing control-plane state: the fleet plan it serves,
-/// the optional observation policy, and the re-plan log.
-struct ControlState {
-    fleet: FleetTopology,
-    policy: Option<ReplanPolicy>,
-    last_check: f64,
-    last_replan: Option<f64>,
-    /// The shared window accumulator (same measurement math as the sim).
-    windows: ObservationWindows,
-    replans: Vec<ReplanRecord>,
-}
-
 /// The coordinator's runtime view of the cluster for one model, used by that
 /// model's scheduler.
 ///
@@ -149,7 +138,7 @@ struct ControlState {
 /// §5.2.
 struct CoordinatorView<'a> {
     model: ModelId,
-    estimator: &'a KvCacheEstimator,
+    estimators: &'a [KvCacheEstimator],
     registry: &'a WorkerRegistry,
 }
 
@@ -169,11 +158,11 @@ impl ClusterState for CoordinatorView<'_> {
     }
 
     fn kv_used_tokens(&self, node: NodeId) -> f64 {
-        self.estimator.estimated_tokens(node)
+        self.estimators[self.model.index()].estimated_tokens(node)
     }
 
     fn kv_capacity_tokens(&self, node: NodeId) -> f64 {
-        self.estimator.capacity_tokens(node)
+        self.estimators[self.model.index()].capacity_tokens(node)
     }
 }
 
@@ -181,11 +170,10 @@ impl ClusterState for CoordinatorView<'_> {
 struct InFlight {
     request: Request,
     pipeline: Arc<RequestPipeline>,
-    first_token_at: Option<f64>,
-    /// Tokens generated so far (one per completed pipeline pass); the
-    /// request finishes when this reaches `output_tokens`.  A promoted
-    /// incarnation carries the count across the fail-over.
-    generated: usize,
+    /// First-token time and tokens generated (one per completed pipeline
+    /// pass), kept across fail-overs; the request finishes when
+    /// `generated` reaches `output_tokens`.
+    progress: Progress,
     /// The incarnation the in-flight pipeline belongs to; iteration reports
     /// carrying an older epoch are stale (pre-failure work still draining
     /// through surviving stages) and are dropped.
@@ -196,9 +184,9 @@ struct InFlight {
 }
 
 pub(crate) struct Coordinator {
-    schedulers: Vec<Box<dyn Scheduler>>,
-    /// Per-model cache-aware routers layered over the base schedulers.
-    prefix_routers: Vec<PrefixRouter>,
+    /// The control decisions (admission, replication, fail-over, re-plan)
+    /// this coordinator drives, shared with the simulator.
+    core: ControlCore,
     estimators: Vec<KvCacheEstimator>,
     clock: VirtualClock,
     inbound: Receiver<CoordinatorMsg>,
@@ -208,7 +196,11 @@ pub(crate) struct Coordinator {
     max_wall: Duration,
     in_flight: HashMap<RequestId, InFlight>,
     outcomes: Vec<RequestOutcome>,
-    control: ControlState,
+    /// When the observation-driven loop fires (None = only explicit deltas
+    /// re-plan).
+    policy: Option<ReplanPolicy>,
+    /// Virtual time of the last observation-window check.
+    last_check: f64,
     /// Workers the plan dropped, awaiting their in-flight pipelines to drain.
     pending_retire: HashSet<WorkerKey>,
     /// KV hand-overs in flight, with the virtual time each freeze began.
@@ -225,19 +217,8 @@ pub(crate) struct Coordinator {
     kv_transfers: Vec<KvTransferRecord>,
     /// Live-mode completion stream (None in batch mode).
     completions: Option<Sender<RequestOutcome>>,
-    /// The replication policy applied at admission (disabled by default).
-    replication: ReplicationPolicy,
-    /// Per-request standby maps and durable-token progress.
-    replica_tracker: ReplicaTracker,
-    /// One record per fail-over the run handled.
-    failovers: Vec<FailoverRecord>,
     /// Node-level membership health (heartbeats from live worker stats).
     node_health: NodeDirectory,
-    /// Nodes that failed this run; excluded from standby selection.
-    failed_nodes: HashSet<NodeId>,
-    /// Per-request incarnation counters, bumped on each promotion or
-    /// abort-and-readmit.
-    epochs: HashMap<RequestId, u64>,
     /// Injected failures not yet due: `(virtual time, node)`.
     pending_failures: Vec<(f64, NodeId)>,
 }
@@ -249,9 +230,6 @@ impl Coordinator {
             spec.estimators.len(),
             "one estimator per model"
         );
-        let prefix_routers = (0..spec.schedulers.len())
-            .map(|_| PrefixRouter::new())
-            .collect();
         let mut node_health = NodeDirectory::default();
         for m in 0..spec.fleet.num_models() {
             if let Some(topology) = spec.fleet.model(ModelId(m)) {
@@ -261,8 +239,7 @@ impl Coordinator {
             }
         }
         Coordinator {
-            schedulers: spec.schedulers,
-            prefix_routers,
+            core: ControlCore::new(spec.fleet, spec.schedulers),
             estimators: spec.estimators,
             clock: spec.clock,
             inbound: spec.inbound,
@@ -272,59 +249,28 @@ impl Coordinator {
             max_wall: spec.max_wall,
             in_flight: HashMap::new(),
             outcomes: Vec::new(),
-            control: ControlState {
-                fleet: spec.fleet,
-                policy: spec.policy,
-                last_check: 0.0,
-                last_replan: None,
-                windows: ObservationWindows::new(),
-                replans: Vec::new(),
-            },
+            policy: spec.policy,
+            last_check: 0.0,
             pending_retire: HashSet::new(),
             pending_migrations: Vec::new(),
             deferred_swaps: HashMap::new(),
             kv_transfers: Vec::new(),
             completions: None,
-            replication: ReplicationPolicy::disabled(),
-            replica_tracker: ReplicaTracker::new(),
-            failovers: Vec::new(),
             node_health,
-            failed_nodes: HashSet::new(),
-            epochs: HashMap::new(),
             pending_failures: Vec::new(),
         }
     }
 
-    /// Everything the run accumulated besides the outcomes, taken once the
-    /// loop ends and threaded into the final report.
+    /// Everything the run accumulated besides the outcomes, taken (not
+    /// copied) once the loop ends and threaded into the final report.
     pub(crate) fn take_artifacts(&mut self) -> CoordinatorArtifacts {
         CoordinatorArtifacts {
-            replans: self.take_replans(),
-            kv_transfers: self.take_kv_transfers(),
-            prefix: self.take_prefix_stats(),
-            failovers: std::mem::take(&mut self.failovers),
-            replication: self.replica_tracker.take_stats(),
+            replans: self.core.take_replans(),
+            kv_transfers: std::mem::take(&mut self.kv_transfers),
+            prefix: self.core.take_prefix_stats(),
+            failovers: self.core.take_failovers(),
+            replication: self.core.take_replication_stats(),
         }
-    }
-
-    /// The re-plans the run applied (empty when none fired).
-    pub(crate) fn take_replans(&mut self) -> Vec<ReplanRecord> {
-        std::mem::take(&mut self.control.replans)
-    }
-
-    /// The KV hand-overs the run completed (empty when none migrated).
-    pub(crate) fn take_kv_transfers(&mut self) -> Vec<KvTransferRecord> {
-        std::mem::take(&mut self.kv_transfers)
-    }
-
-    /// Prefix-sharing counters summed over all models, taken (not copied) so
-    /// back-to-back runs each report their own.
-    pub(crate) fn take_prefix_stats(&mut self) -> PrefixStats {
-        let mut stats = PrefixStats::default();
-        for router in &mut self.prefix_routers {
-            stats.merge(&router.take_stats());
-        }
-        stats
     }
 
     /// Serves the whole workload, returning one outcome per request in
@@ -439,8 +385,11 @@ impl Coordinator {
                     }
                     Ok(SessionControl::ApplyDelta(delta)) => {
                         let now = self.clock.now();
-                        let observed = self.control.fleet.observations().clone();
-                        self.apply_replan(&delta, &observed, ReplanReason::Manual, now);
+                        if let Some(replan) =
+                            self.core.apply_delta(&delta, ReplanReason::Manual, now)
+                        {
+                            self.enact(replan, now);
+                        }
                     }
                     Ok(SessionControl::Retire(node, model)) => {
                         self.request_retirement(node, model);
@@ -449,7 +398,7 @@ impl Coordinator {
                         self.pending_failures.push((at, node));
                     }
                     Ok(SessionControl::SetReplication(policy)) => {
-                        self.replication = policy;
+                        self.core.set_replication(policy);
                     }
                     Ok(SessionControl::Drain(ack)) => drain_acks.push(ack),
                     Ok(SessionControl::Finish) => finishing = true,
@@ -602,10 +551,10 @@ impl Coordinator {
     /// When the next observation-window check is due, if a policy is
     /// configured — the wake-up deadline for the waker-based waits.
     fn next_policy_deadline(&self) -> Option<Instant> {
-        let policy = self.control.policy?;
+        let policy = self.policy?;
         Some(
             self.clock
-                .instant_at(self.control.last_check + policy.check_interval_secs),
+                .instant_at(self.last_check + policy.check_interval_secs),
         )
     }
 
@@ -616,15 +565,15 @@ impl Coordinator {
     /// swaps the affected models' schedulers and KV-estimator capacities.
     /// In-flight pipelines are untouched — they drain over their old routes.
     fn maybe_replan(&mut self) {
-        let Some(policy) = self.control.policy else {
+        let Some(policy) = self.policy else {
             return;
         };
         let now = self.clock.now();
-        let window = now - self.control.last_check;
+        let window = now - self.last_check;
         if window < policy.check_interval_secs {
             return;
         }
-        self.control.last_check = now;
+        self.last_check = now;
 
         let mut observed = NodeObservations::new();
         for ((node, model), stats) in self.registry.live_stats_snapshot() {
@@ -632,7 +581,7 @@ impl Coordinator {
             // membership decays from these heartbeats exactly as region
             // membership decays from region heartbeats.
             self.node_health.heartbeat(node, now);
-            self.control.windows.measure(
+            self.core.measure(
                 &mut observed,
                 node,
                 model,
@@ -642,75 +591,35 @@ impl Coordinator {
                     tokens: stats.prompt_tokens + stats.decode_tokens,
                 },
                 window,
-                self.control.fleet.observations(),
             );
         }
-
-        if let Some((node, model, speed)) = policy.should_replan(
-            &observed,
-            self.control.fleet.observations(),
-            now,
-            self.control.last_replan,
-        ) {
-            let applied = self.apply_replan(
-                &PlacementDelta::new(),
-                &observed,
-                ReplanReason::ThroughputGap { node, model, speed },
-                now,
-            );
-            if applied {
-                self.control.last_replan = Some(now);
-            }
+        if let Some(replan) = self.core.policy_tick(&policy, &observed, now) {
+            self.enact(replan, now);
         }
     }
 
-    /// Applies one re-plan to the standing fleet: re-derives the plan, swaps
-    /// the affected models' schedulers and KV budgets for *new* requests
-    /// (drain-then-switch), spawns workers for (node, model) tenancies the
-    /// delta added, and queues drain-aware retirement for ones it dropped.
-    /// Returns whether the re-plan was applied; an infeasible re-plan leaves
-    /// the current plan serving.
-    fn apply_replan(
-        &mut self,
-        delta: &PlacementDelta,
-        observed: &NodeObservations,
-        reason: ReplanReason,
-        now: f64,
-    ) -> bool {
-        let outcome = match self.control.fleet.replan(delta, observed) {
-            Ok(outcome) => outcome,
-            Err(_) => return false,
-        };
-        let mut new_schedulers: Vec<(ModelId, Box<dyn Scheduler>)> = Vec::new();
-        for &model in &outcome.affected {
-            let topology = self
-                .control
-                .fleet
-                .model(model)
-                .expect("affected model exists");
-            // Hand-over step 1: build the new IWRR weights for new requests.
-            // A model whose re-planned flow is zero keeps its old scheduler
-            // (serving degraded beats serving nothing).  Installation is
-            // deferred past any KV transfer the delta owes this model
-            // (freeze → transfer → re-route → resume).
-            if let Ok(scheduler) = IwrrScheduler::from_topology(topology) {
-                new_schedulers.push((model, Box::new(scheduler)));
-            }
-            // Pipelines of the old plan are stale prefix homes: forget them.
-            // In-flight references stay balanced through their own release
-            // path; only future routing is affected.
-            self.prefix_routers[model.index()].clear();
-            // Hand-over step 2: re-derived KV budgets, and dynamic
-            // membership — a tenancy the delta added gets a live worker on
-            // the spot, routable through the fabric immediately (a migration
-            // destination must exist before the pages can land).  New
-            // workers execute at the analytic contention split; measured
-            // speed factors re-price planning, not execution.
+    /// Carries out a re-plan the control core applied (drain-then-switch:
+    /// in-flight pipelines keep their routes): re-derives the affected
+    /// models' KV budgets, spawns workers for (node, model) tenancies the
+    /// re-plan added, queues drain-aware retirement for ones it dropped, and
+    /// starts each migration's KV hand-over.  A model's new scheduler is
+    /// installed at once, or — when a transfer for it is in flight — once
+    /// that transfer lands (freeze → transfer → re-route → resume).
+    fn enact(&mut self, replan: Replan, now: f64) {
+        for &model in &replan.affected {
+            let fleet = self.core.fleet();
+            let topology = fleet.model(model).expect("affected model exists");
+            // Re-derived KV budgets, and dynamic membership — a tenancy the
+            // delta added gets a live worker on the spot, routable through
+            // the fabric immediately (a migration destination must exist
+            // before the pages can land).  New workers execute at the
+            // analytic contention split; measured speed factors re-price
+            // planning, not execution.
             let planned: Vec<(NodeId, String, usize, f64)> = topology
                 .nodes()
                 .map(|n| (n.node, n.name.clone(), n.layers.len(), n.kv_capacity_tokens))
                 .collect();
-            let contention = self.control.fleet.contention_profile(model);
+            let contention = fleet.contention_profile(model);
             let mut planned_nodes: HashSet<NodeId> = HashSet::new();
             for (node, name, layers, kv_capacity_tokens) in planned {
                 planned_nodes.insert(node);
@@ -719,24 +628,24 @@ impl Coordinator {
                 self.spawner
                     .spawn(&contention, node, model, &name, layers, kv_capacity_tokens);
             }
-            // Hand-over step 3: pairs the plan no longer includes keep
-            // serving their in-flight pipelines and are detached once those
-            // drain; new requests already steer around them.
+            // Pairs the plan no longer includes keep serving their in-flight
+            // pipelines and are detached once those drain; new requests
+            // already steer around them.
             for key in self.registry.live_keys_for_model(model) {
                 if !planned_nodes.contains(&key.0) {
                     self.pending_retire.insert(key);
                 }
             }
         }
-        // Hand-over step 4: initiate each migration's KV transfer — freeze
-        // the *migrated layer range* on both ends (work on other layers
-        // keeps executing; overlapping hand-overs stack their ranges on the
-        // worker), then ask the source to extract its pool through the
-        // fabric as a pipelined chunk stream (the pages queue behind — and
-        // interleave with — activation traffic on the `from → to` link).
-        // `KvInstalled` re-routes and resumes.
+        // Initiate each migration's KV transfer — freeze the *migrated layer
+        // range* on both ends (work on other layers keeps executing;
+        // overlapping hand-overs stack their ranges on the worker), then ask
+        // the source to extract its pool through the fabric as a pipelined
+        // chunk stream (the pages queue behind — and interleave with —
+        // activation traffic on the `from → to` link).  `KvInstalled`
+        // re-routes and resumes.
         let mut migrating: HashSet<ModelId> = HashSet::new();
-        for &migration in &outcome.migrations {
+        for &migration in &replan.migrations {
             let KvMigration {
                 model,
                 from,
@@ -748,7 +657,7 @@ impl Coordinator {
             };
             self.freeze_endpoint((from, model), layers);
             self.freeze_endpoint((to, model), layers);
-            let kv_bytes_per_token_per_layer = self.control.fleet.profiles()[model.index()]
+            let kv_bytes_per_token_per_layer = self.core.fleet().profiles()[model.index()]
                 .model()
                 .kv_bytes_per_token_per_layer();
             let _ = source.send(RuntimeMsg::KvExtract {
@@ -759,31 +668,22 @@ impl Coordinator {
             self.pending_migrations.push((migration, now));
             migrating.insert(model);
         }
-        // Re-route: models with a transfer in flight get their scheduler on
-        // `KvInstalled`; everyone else switches immediately.
-        for (model, scheduler) in new_schedulers {
+        for (model, scheduler) in replan.schedulers {
             if migrating.contains(&model) {
                 self.deferred_swaps.insert(model.index(), scheduler);
             } else {
-                self.schedulers[model.index()] = scheduler;
+                self.core.install_scheduler(model, scheduler);
             }
         }
         self.sweep_retirements();
-        self.control.replans.push(ReplanRecord {
-            at: now,
-            reason,
-            affected: outcome.affected,
-            planned_flow: self.control.fleet.total_flow_value(),
-        });
-        true
     }
 
     /// Queues the retirement of one worker, refusing pairs the active plan
     /// still schedules onto (retiring those would strand new pipelines).
     fn request_retirement(&mut self, node: NodeId, model: ModelId) {
         let still_planned = self
-            .control
-            .fleet
+            .core
+            .fleet()
             .model(model)
             .is_some_and(|t| t.node(node).is_some());
         if !still_planned && self.registry.is_live((node, model)) {
@@ -823,117 +723,73 @@ impl Coordinator {
         }
     }
 
-    /// Tries to admit one request.  Returns `Ok(false)` if every candidate is
-    /// currently masked out and the request should be retried later.
+    /// Tries to admit one request through the control core.  Returns
+    /// `Ok(false)` if it must wait — every candidate is masked out, or the
+    /// only pipeline in rotation crosses a dead node — and should be retried
+    /// later.
     fn try_dispatch(&mut self, request: Request) -> Result<bool, RuntimeError> {
         let model = request.model;
-        let num_models = self.schedulers.len();
-        if model.index() >= num_models {
-            return Err(RuntimeError::Scheduling(HelixError::UnknownModel {
-                model,
-                num_models,
-            }));
-        }
+        let spec = RequestSpec {
+            id: request.id,
+            model,
+            prompt_tokens: request.prompt_tokens,
+            output_tokens: request.output_tokens,
+            shared_prefix: request.shared_prefix(),
+        };
         let view = CoordinatorView {
             model,
-            estimator: &self.estimators[model.index()],
+            estimators: &self.estimators,
             registry: &self.registry,
         };
-        // Cache-aware routing: a prefix-tagged request goes to the pipeline
-        // already holding its prefix when that pipeline has KV headroom; a
-        // saturated home degrades to plain IWRR with sharing disabled.
-        let mut prefix_work: Option<PrefixWork> = None;
-        let mut routed: Option<RequestPipeline> = None;
-        let mut bypassed = false;
-        if let Some((pid, ptokens)) = request.shared_prefix() {
-            match self.prefix_routers[model.index()].route(pid, ptokens, &view) {
-                PrefixRoute::Hit {
-                    pipeline,
-                    shared_tokens,
-                } => {
-                    prefix_work = Some(PrefixWork {
-                        id: pid,
-                        tokens: shared_tokens,
-                        hit: true,
-                    });
-                    routed = Some(pipeline);
-                }
-                PrefixRoute::Miss => {
-                    prefix_work = Some(PrefixWork {
-                        id: pid,
-                        tokens: ptokens,
-                        hit: false,
-                    });
-                }
-                PrefixRoute::Bypass => bypassed = true,
-            }
-        }
-        let scheduled = match routed {
-            Some(pipeline) => Ok(pipeline),
-            None => self.schedulers[model.index()].schedule(&view),
-        };
-        let pipeline = match scheduled {
-            Ok(mut pipeline) => {
-                pipeline.model = model;
-                Arc::new(pipeline)
-            }
-            // A hit never lands here (route() pre-checks headroom and its
-            // reference is only taken on Hit), so deferral leaks nothing.
-            Err(HelixError::NoCandidateAvailable { .. }) => return Ok(false),
-            Err(e) => return Err(e.into()),
-        };
-        // When the re-plan around a failed node was infeasible the scheduler
-        // keeps serving the old plan, which may still route across the hole;
-        // defer those admissions until a live pipeline comes up in rotation.
-        // Prefix hits never land here — `fail_node` evicts the failed node
-        // from every router before any post-failure admission.
-        let hit = prefix_work.is_some_and(|p| p.hit);
-        if !hit
-            && !self.failed_nodes.is_empty()
-            && pipeline
-                .stages
-                .iter()
-                .any(|stage| self.failed_nodes.contains(&stage.node))
-        {
+        let Some(Admitted {
+            pipeline,
+            epoch,
+            prefill_tokens,
+            prefix,
+            resume_tokens,
+            progress,
+        }) = self.core.admit(&spec, &view)?
+        else {
             return Ok(false);
-        }
-        match prefix_work {
-            // A miss materialises the prefix: the scheduled pipeline becomes
-            // its home for later sharers.
-            Some(p) if !p.hit => {
-                self.prefix_routers[model.index()].adopt(p.id, p.tokens, &pipeline)
-            }
-            None if bypassed => self.prefix_routers[model.index()].record_bypass(),
-            _ => {}
-        }
-        // The per-request estimate covers only the unshared suffix; the
-        // shared range is attached (refcounted, counted once per node) so the
-        // estimator mirrors the workers' refcounted pool entries.
-        let shared_tokens = prefix_work
-            .map(|p| p.tokens.min(request.prompt_tokens))
-            .unwrap_or(0);
+        };
+        let pipeline = Arc::new(pipeline);
+        let progress = progress.unwrap_or(Progress::new(request.arrival_time));
+        // The per-request estimate covers the unshared suffix plus any
+        // decode progress a promotion carries; the shared range is attached
+        // (refcounted, counted once per node) so the estimator mirrors the
+        // workers' refcounted pool entries.
+        let shared_tokens = prefix.map_or(0, |p| p.tokens.min(request.prompt_tokens));
+        let kv_tokens = request.prompt_tokens + progress.generated - shared_tokens;
         for stage in &pipeline.stages {
-            self.estimators[model.index()].on_scheduled(
-                stage.node,
-                request.id,
-                request.prompt_tokens - shared_tokens,
-            );
-            if let Some(p) = prefix_work {
+            self.estimators[model.index()].on_scheduled(stage.node, request.id, kv_tokens);
+            if let Some(p) = prefix {
                 self.estimators[model.index()].attach_shared(stage.node, p.id, p.tokens);
             }
+            // A promoted request re-seeds its replicated tokens on every
+            // stage (the fail-over purge released them; per-link FIFO
+            // delivers the purge first).
+            if let Some(tokens) = resume_tokens.filter(|&t| t > 0) {
+                let _ = self.send(Envelope {
+                    from: None,
+                    to: Some(stage.node),
+                    model,
+                    bytes: TOKEN_WIRE_BYTES,
+                    msg: RuntimeMsg::KvChunk {
+                        from: stage.node,
+                        layers: stage.layers,
+                        entries: vec![(request.id, tokens)],
+                        prefix_entries: Vec::new(),
+                        tokens: tokens as u64,
+                        pages: 0,
+                        bytes: 0.0,
+                        last: false,
+                    },
+                });
+            }
         }
-        // A cache hit skips prefilling the shared range (that is the compute
-        // saving); at least one token still flows through the pipeline to
-        // produce the first output token.
-        let prefill_tokens = match prefix_work {
-            Some(p) if p.hit => request.prompt_tokens.saturating_sub(p.tokens).max(1),
-            _ => request.prompt_tokens.max(1),
-        };
-        let first = pipeline.stages[0].node;
-        let epoch = self.epochs.get(&request.id).copied().unwrap_or(0);
         self.send(Envelope {
             from: None,
-            to: Some(first),
+            to: Some(pipeline.stages[0].node),
             model,
             bytes: TOKEN_WIRE_BYTES * prefill_tokens as f64,
             msg: RuntimeMsg::Work(StageWork {
@@ -943,97 +799,29 @@ impl Coordinator {
                 stage_index: 0,
                 epoch,
                 pipeline: Arc::clone(&pipeline),
-                prefix: prefix_work,
+                prefix,
             }),
         })?;
-        self.begin_replication(request.id, &pipeline, request.output_tokens);
         self.in_flight.insert(
             request.id,
             InFlight {
                 request,
                 pipeline,
-                first_token_at: None,
-                generated: 0,
+                progress,
                 epoch,
-                prefix: prefix_work,
+                prefix,
             },
         );
         Ok(true)
     }
 
-    /// Starts replication tracking for a newly admitted request when the
-    /// policy marks it hot *and* every pipeline stage has a live standby
-    /// whose layer range covers it; otherwise the request runs unreplicated
-    /// and a failure falls back to abort-and-readmit.  Promoted incarnations
-    /// are not re-tracked — the replication factor applies from admission.
-    fn begin_replication(
-        &mut self,
-        request: RequestId,
-        pipeline: &Arc<RequestPipeline>,
-        output_tokens: usize,
-    ) {
-        if !self.replication.replicates(output_tokens) {
-            return;
-        }
-        let model = pipeline.model;
-        let Some(topology) = self.control.fleet.model(model) else {
-            return;
-        };
-        let candidates: Vec<(NodeId, LayerRange)> = topology
-            .nodes()
-            .filter(|n| !self.failed_nodes.contains(&n.node))
-            .map(|n| (n.node, n.layers))
-            .collect();
-        let mut standbys = Vec::with_capacity(pipeline.stages.len());
-        for stage in &pipeline.stages {
-            match select_standby(stage.node, stage.layers, &candidates) {
-                Some(standby) => standbys.push((stage.node, standby)),
-                None => return,
-            }
-        }
-        self.replica_tracker.begin(request, standbys);
-    }
-
-    /// Ships one replication milestone: the newly durable token delta (if
-    /// the chunk boundary was crossed, or the prompt just completed) travels
+    /// Ships one replication milestone: the newly durable tokens travel
     /// from every primary stage to its standby as a non-final
-    /// [`RuntimeMsg::KvChunk`], priced by the shared [`KvTransferModel`],
-    /// and the standby workers seed the durable tokens as KV residency —
-    /// replication steals link bandwidth and KV headroom, which is exactly
-    /// the trade-off measured.
-    fn trickle_replication(
-        &mut self,
-        request: RequestId,
-        model: ModelId,
-        total_tokens: usize,
-        pipeline: &Arc<RequestPipeline>,
-        force: bool,
-    ) {
-        let delta = self.replica_tracker.record_progress(
-            request,
-            total_tokens,
-            self.replication.chunk_tokens,
-            force,
-        );
-        if delta == 0 {
-            return;
-        }
-        let durable = self.replica_tracker.replicated_tokens(request);
-        let standbys: Vec<(NodeId, NodeId)> = self.replica_tracker.standbys(request).to_vec();
-        let transfer = KvTransferModel::new(
-            self.control.fleet.profiles()[model.index()]
-                .model()
-                .kv_bytes_per_token_per_layer(),
-            DEFAULT_TOKENS_PER_PAGE,
-        );
-        for (i, &(primary, standby)) in standbys.iter().enumerate() {
-            let layers = pipeline
-                .stages
-                .get(i)
-                .map(|s| s.layers)
-                .unwrap_or(LayerRange::new(0, 1));
-            let bytes = transfer.bytes(delta as f64, layers.len());
-            self.replica_tracker.record_bytes(bytes);
+    /// [`RuntimeMsg::KvChunk`], and the standby workers seed them as KV
+    /// residency — replication steals link bandwidth and KV headroom, which
+    /// is exactly the trade-off measured.
+    fn ship_replicas(&mut self, request: RequestId, model: ModelId, trickle: &Trickle) {
+        for &(primary, standby, layers, bytes) in &trickle.shipments {
             let _ = self.send(Envelope {
                 from: Some(primary),
                 to: Some(standby),
@@ -1042,10 +830,10 @@ impl Coordinator {
                 msg: RuntimeMsg::KvChunk {
                     from: primary,
                     layers,
-                    entries: vec![(request, durable)],
+                    entries: vec![(request, trickle.durable)],
                     prefix_entries: Vec::new(),
-                    tokens: delta as u64,
-                    pages: transfer.pages(delta as f64),
+                    tokens: trickle.tokens as u64,
+                    pages: trickle.pages,
                     bytes,
                     last: false,
                 },
@@ -1053,67 +841,61 @@ impl Coordinator {
         }
     }
 
-    /// Fails one node: marks it down, detaches its workers, promotes every
-    /// replicated in-flight pipeline that crossed it onto its standbys
-    /// (resuming from the last replicated chunk with bounded token loss),
-    /// aborts the rest, and re-plans around the hole.  Returns the aborted
-    /// requests for re-admission through the normal path.
+    /// Fails one node: marks it down and detaches its workers; the control
+    /// core takes every in-flight pipeline crossing it off it and re-plans
+    /// around the hole.  Each doomed request's KV is purged and it is
+    /// admitted again at once — promoted onto its standbys, or restarted —
+    /// after the re-plan is enacted.  Returns the requests that must wait
+    /// for a later admission.
     fn fail_node(&mut self, node: NodeId) -> Result<Vec<Request>, RuntimeError> {
         let now = self.clock.now();
-        self.failed_nodes.insert(node);
         self.node_health.mark_down(node);
-        // Dead pipelines must not stay prefix homes.  The re-plan below
-        // clears routers only when it succeeds; when removing the node is
-        // infeasible (it was load-bearing) the old plan keeps serving, so
-        // evict exactly the homes that crossed the dead node — otherwise
-        // later sharers would "hit" a pipeline that no longer executes.
-        for router in &mut self.prefix_routers {
-            router.evict_node(node);
-        }
         // Detach the node's workers now: their in-flight work is lost, and
         // messages routed to them from here on drop harmlessly.
-        for m in 0..self.control.fleet.num_models() {
+        for m in 0..self.core.num_models() {
             let key = (node, ModelId(m));
             self.pending_retire.remove(&key);
             if self.registry.is_live(key) {
                 self.registry.detach(key);
             }
         }
-        let mut doomed: Vec<RequestId> = self
-            .in_flight
-            .iter()
-            .filter(|(_, f)| f.pipeline.stages.iter().any(|s| s.node == node))
-            .map(|(&id, _)| id)
-            .collect();
-        // Deterministic fail-over order (map iteration order is not).
-        doomed.sort_unstable();
-        let mut record = FailoverRecord {
-            at: now,
-            node,
-            promoted: Vec::new(),
-            aborted: Vec::new(),
-            tokens_recomputed: 0,
-            abort_recompute_tokens: 0,
-            replica_tokens_used: 0,
-        };
-        let mut readmit = Vec::new();
-        for id in doomed {
-            let flight = self.in_flight.remove(&id).expect("listed above");
+        let in_flight = self.in_flight.iter().map(|(&id, f)| InFlightRequest {
+            id,
+            prompt_tokens: f.request.prompt_tokens,
+            pipeline: &f.pipeline,
+            prefix: f.prefix,
+            progress: f.progress,
+        });
+        let registry = &self.registry;
+        let failover = self.core.fail_nodes(
+            &[node],
+            ReplanReason::NodeFailure { node },
+            now,
+            in_flight,
+            |n, m| registry.is_live((n, m)),
+        );
+        let mut doomed = Vec::with_capacity(failover.doomed.len());
+        for id in failover.doomed {
+            let flight = self
+                .in_flight
+                .remove(&id)
+                .expect("doomed requests are in flight");
             let model = flight.pipeline.model;
             for stage in &flight.pipeline.stages {
-                self.estimators[model.index()].on_finished(stage.node, id, flight.generated);
+                self.estimators[model.index()].on_finished(
+                    stage.node,
+                    id,
+                    flight.progress.generated,
+                );
                 if let Some(p) = flight.prefix {
                     self.estimators[model.index()].release_shared(stage.node, p.id);
                 }
             }
-            if let Some(p) = flight.prefix {
-                self.prefix_routers[model.index()].release(p.id);
-            }
             // Purge the stranded incarnation's KV on *every* live worker of
             // its model: pipeline nodes, migration destinations seeded with
             // its pages, and replica standbys (a promoted request re-seeds
-            // its surviving tokens below).  Entries are keyed by request id,
-            // so other requests are untouched.
+            // its surviving tokens on admission).  Entries are keyed by
+            // request id, so other requests are untouched.
             for (n, _) in self.registry.live_keys_for_model(model) {
                 self.send(Envelope {
                     from: None,
@@ -1123,141 +905,19 @@ impl Coordinator {
                     msg: RuntimeMsg::Release(id),
                 })?;
             }
-            let epoch = self.epochs.entry(id).or_insert(0);
-            *epoch += 1;
-            let epoch = *epoch;
-            // Fail-over: a replicated request promotes its standbys and
-            // resumes from the last replicated chunk — only the tokens
-            // decoded since then are recomputed.  Without a (live) replica
-            // it falls back to abort-and-readmit from token zero.
-            let total = flight.request.prompt_tokens + flight.generated;
-            match self.promote_pipeline(id, &flight.pipeline, node) {
-                Some(promoted) => {
-                    let resume = self.replica_tracker.replicated_tokens(id).min(total);
-                    record.promoted.push(id);
-                    record.tokens_recomputed += total.saturating_sub(resume) as u64;
-                    record.abort_recompute_tokens += total as u64;
-                    record.replica_tokens_used += resume as u64;
-                    self.resume_promoted(&flight, promoted, resume, epoch)?;
-                }
-                None => {
-                    record.aborted.push(id);
-                    record.tokens_recomputed += total as u64;
-                    record.abort_recompute_tokens += total as u64;
-                    readmit.push(flight.request);
-                }
-            }
-            self.replica_tracker.finish(id);
+            doomed.push(flight.request);
         }
-        self.failovers.push(record);
-        // Structural change: re-plan immediately with a removal delta,
-        // keeping whatever observations are already priced in.
-        let delta = PlacementDelta::new().remove_node(node, self.control.fleet.num_models());
-        let observed = self.control.fleet.observations().clone();
-        self.apply_replan(&delta, &observed, ReplanReason::NodeFailure { node }, now);
+        if let Some(replan) = failover.replan {
+            self.enact(replan, now);
+        }
+        let mut waiting = Vec::new();
+        for request in doomed {
+            if !self.try_dispatch(request)? {
+                waiting.push(request);
+            }
+        }
         self.sweep_retirements();
-        Ok(readmit)
-    }
-
-    /// Builds the promoted pipeline for `request`: every stage on the node
-    /// failing *now* is substituted by its standby.  `None` — untracked
-    /// request, no standby for a failed stage, or a standby that is itself
-    /// dead — falls back to abort-and-readmit.
-    fn promote_pipeline(
-        &self,
-        request: RequestId,
-        pipeline: &Arc<RequestPipeline>,
-        failed_now: NodeId,
-    ) -> Option<RequestPipeline> {
-        if !self.replica_tracker.is_tracked(request) {
-            return None;
-        }
-        let standbys = self.replica_tracker.standbys(request);
-        let mut promoted = (**pipeline).clone();
-        for stage in &mut promoted.stages {
-            if stage.node == failed_now {
-                let standby = standbys
-                    .iter()
-                    .find(|&&(primary, _)| primary == stage.node)
-                    .map(|&(_, s)| s)?;
-                if self.failed_nodes.contains(&standby)
-                    || !self.registry.is_live((standby, pipeline.model))
-                {
-                    return None;
-                }
-                stage.node = standby;
-            }
-        }
-        Some(promoted)
-    }
-
-    /// Re-routes one promoted request onto its replica pipeline: re-seeds
-    /// the surviving replicated tokens on every promoted stage (the purge
-    /// above released them; per-link FIFO delivers the purge first), then
-    /// dispatches a prompt-phase recompute of only the tokens decoded since
-    /// the last replicated chunk.  The request keeps its arrival time,
-    /// first-token time and decode progress across the fail-over.
-    fn resume_promoted(
-        &mut self,
-        flight: &InFlight,
-        promoted: RequestPipeline,
-        resume_tokens: usize,
-        epoch: u64,
-    ) -> Result<(), RuntimeError> {
-        let request = flight.request;
-        let model = promoted.model;
-        let total = request.prompt_tokens + flight.generated;
-        let recompute = total.saturating_sub(resume_tokens).max(1);
-        let pipeline = Arc::new(promoted);
-        for stage in &pipeline.stages {
-            self.estimators[model.index()].on_scheduled(stage.node, request.id, total);
-            if resume_tokens > 0 {
-                let _ = self.send(Envelope {
-                    from: None,
-                    to: Some(stage.node),
-                    model,
-                    bytes: TOKEN_WIRE_BYTES,
-                    msg: RuntimeMsg::KvChunk {
-                        from: stage.node,
-                        layers: stage.layers,
-                        entries: vec![(request.id, resume_tokens)],
-                        prefix_entries: Vec::new(),
-                        tokens: resume_tokens as u64,
-                        pages: 0,
-                        bytes: 0.0,
-                        last: false,
-                    },
-                });
-            }
-        }
-        let first = pipeline.stages[0].node;
-        self.send(Envelope {
-            from: None,
-            to: Some(first),
-            model,
-            bytes: TOKEN_WIRE_BYTES * recompute as f64,
-            msg: RuntimeMsg::Work(StageWork {
-                request: request.id,
-                phase: Phase::Prompt,
-                tokens: recompute,
-                stage_index: 0,
-                epoch,
-                pipeline: Arc::clone(&pipeline),
-                prefix: None,
-            }),
-        })?;
-        self.in_flight.insert(
-            request.id,
-            InFlight {
-                request,
-                pipeline,
-                first_token_at: flight.first_token_at,
-                generated: flight.generated,
-                epoch,
-                prefix: None,
-            },
-        );
-        Ok(())
+        Ok(waiting)
     }
 
     fn handle_inbound(&mut self, msg: CoordinatorMsg) -> Result<(), RuntimeError> {
@@ -1299,25 +959,23 @@ impl Coordinator {
         if epoch != flight.epoch {
             return Ok(());
         }
-        let was_first = flight.first_token_at.is_none();
+        // The first token of this incarnation ends its prompt pass.
+        let prompt_done = flight.progress.generated == 0;
         if phase == Phase::Prompt {
-            flight.first_token_at.get_or_insert(emitted_at);
+            flight.progress.first_token.get_or_insert(emitted_at);
         }
-        flight.generated += 1;
-        if flight.generated >= flight.request.output_tokens {
+        flight.progress.advance();
+        if flight.progress.generated >= flight.request.output_tokens {
             self.finish(request, emitted_at)
         } else {
             let pipeline = Arc::clone(&flight.pipeline);
-            let total = flight.request.prompt_tokens + flight.generated;
+            let total = flight.request.prompt_tokens + flight.progress.generated;
             let first = pipeline.stages[0].node;
             let model = pipeline.model;
-            // Trickle KV replication as decode proceeds: prompt completion
-            // (the first token) force-replicates everything cached so far,
-            // then whole chunks ship at every chunk boundary, per stage,
-            // over the primary→standby links like any other transfer.
-            if self.replica_tracker.is_tracked(request) {
-                let force = phase == Phase::Prompt && was_first;
-                self.trickle_replication(request, model, total, &pipeline, force);
+            // Trickle KV replication as decode proceeds, over the
+            // primary→standby links like any other transfer.
+            if let Some(trickle) = self.core.trickle(request, &pipeline, total, prompt_done) {
+                self.ship_replicas(request, model, &trickle);
             }
             self.send(Envelope {
                 from: None,
@@ -1410,14 +1068,15 @@ impl Coordinator {
                 // to the snapshot only when the current topology cannot seed
                 // an IWRR.
                 let fresh = self
-                    .control
-                    .fleet
+                    .core
+                    .fleet()
                     .model(model)
                     .and_then(|topology| IwrrScheduler::from_topology(topology).ok());
-                self.schedulers[model.index()] = match fresh {
+                let scheduler: Box<dyn Scheduler> = match fresh {
                     Some(current) => Box::new(current),
                     None => scheduler,
                 };
+                self.core.install_scheduler(model, scheduler);
             }
         }
         self.thaw_endpoint((from, model), layers);
@@ -1441,10 +1100,7 @@ impl Coordinator {
                 self.estimators[model.index()].release_shared(stage.node, p.id);
             }
         }
-        if let Some(p) = flight.prefix {
-            self.prefix_routers[model.index()].release(p.id);
-        }
-        self.replica_tracker.finish(request);
+        self.core.complete(request, model, flight.prefix);
         // Release the request's KV on *every* live worker of its model, not
         // only its pipeline nodes: migrations seed destination workers and
         // replication seeds standbys, and all those copies are keyed by this
@@ -1463,8 +1119,8 @@ impl Coordinator {
             model,
             prompt_tokens: flight.request.prompt_tokens,
             output_tokens: flight.request.output_tokens,
-            arrival: flight.request.arrival_time,
-            first_token_at: flight.first_token_at.unwrap_or(completed_at),
+            arrival: flight.progress.arrival,
+            first_token_at: flight.progress.first_token.unwrap_or(completed_at),
             completed_at,
             pipeline_depth: flight.pipeline.stages.len(),
         };

@@ -1,7 +1,7 @@
 //! Discrete-event queue.
 
 use helix_cluster::{ModelId, NodeId, Region};
-use helix_core::{LayerRange, PrefixWork, RequestPipeline};
+use helix_core::{LayerRange, PrefixWork, Progress, RequestPipeline};
 use helix_workload::RequestId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -314,21 +314,15 @@ pub struct RequestState {
     /// The admission epoch this state belongs to (see `WorkItem::epoch`);
     /// work items and coordinator tokens from older epochs are ignored.
     pub epoch: u64,
-    /// Prompt length in tokens (with `generated`, the cached sequence length
+    /// Prompt length in tokens (with `progress.generated`, the cached sequence length
     /// that replication trickles and a fail-over must restore).
     pub prompt_tokens: usize,
     /// Output tokens the request will generate before finishing.
     pub output_tokens: usize,
-    /// Tokens generated so far.
-    pub generated: usize,
-    /// Arrival time at the coordinator.
-    pub arrival_time: SimTime,
-    /// Time the first output token reached the coordinator.
-    pub first_token_time: Option<SimTime>,
-    /// Time the previous output token reached the coordinator.
+    /// Arrival, first-token time and token counts, kept across fail-overs.
+    pub progress: Progress,
+    /// Time the previous new output token reached the coordinator.
     pub last_token_time: Option<SimTime>,
-    /// Accumulated inter-token gaps (for decode latency).
-    pub decode_gaps: Vec<f64>,
     /// Completion time.
     pub finish_time: Option<SimTime>,
     /// The shared-prefix reference this admission holds, released (engine

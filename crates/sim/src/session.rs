@@ -1,6 +1,6 @@
 //! A session-style front door over the discrete-event simulator.
 //!
-//! [`SimSession`] mirrors the threaded runtime's serving-session surface
+//! [`SimSession`] mirrors the async runtime's serving-session surface
 //! (`submit` → `drain` → `finish`) so examples, tests and benches can drive
 //! the simulator and the prototype runtime through one API (the facade
 //! crate's `ServingFrontEnd` trait is implemented by both).  Because the

@@ -1,22 +1,24 @@
-//! The cluster simulator: coordinator loop, routing, metrics collection —
-//! and the simulated half of the online re-planning loop (perturbation
-//! events, windowed observation, policy-driven re-plans with drain/hand-over).
+//! The cluster simulator: the event loop driving the shared control core
+//! (admission, replication, fail-over and re-plan decisions come from
+//! [`ControlCore`]), engines, links, metrics collection — and the simulated
+//! half of the online re-planning loop (perturbation events, windowed
+//! observation, policy-driven re-plans with drain/hand-over).
 
 use crate::engine::NodeEngine;
 use crate::event::{Event, EventQueue, PerturbationEvent, Phase, RequestState, SimTime, WorkItem};
 use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
 use crate::network::LinkQueue;
-use helix_cluster::{ModelId, NodeId, PrefixId, TOKEN_WIRE_BYTES};
+use helix_cluster::{ModelId, NodeId, PrefixId, Region, TOKEN_WIRE_BYTES};
 use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
-    select_standby, ClusterState, EngineCounters, FailoverRecord, FleetScheduler, FleetTopology,
-    IwrrScheduler, KvTransferModel, KvTransferRecord, LayerRange, ModelPlacement, NodeDirectory,
-    NodeObservations, ObservationWindows, PlacementDelta, PrefixRoute, PrefixRouter, PrefixStats,
-    PrefixWork, ReplanPolicy, ReplanReason, ReplanRecord, ReplicaTracker, ReplicationPolicy,
-    ReplicationStats, RequestPipeline, Scheduler, Topology,
+    Admitted, ClusterState, ControlCore, EngineCounters, FailoverRecord, FleetScheduler,
+    FleetTopology, InFlightRequest, KvTransferModel, KvTransferRecord, LayerRange, ModelPlacement,
+    NodeDirectory, NodeObservations, PlacementDelta, PrefixStats, Progress, Replan, ReplanPolicy,
+    ReplanReason, ReplanRecord, ReplicationPolicy, ReplicationStats, RequestSpec, Scheduler,
+    Topology, Trickle,
 };
 use helix_workload::{Request, RequestId, Workload};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,29 +72,34 @@ impl SimulationConfig {
     }
 }
 
-/// Snapshot of cluster state handed to the scheduler.
-struct StateSnapshot {
-    queue_len: HashMap<NodeId, usize>,
-    throughput: HashMap<NodeId, f64>,
-    kv_used: HashMap<NodeId, f64>,
-    kv_capacity: HashMap<NodeId, f64>,
+/// One model's engines as its scheduler sees them: queue, throughput and KV
+/// state of that model's engines only, so per-model KV masking sees its own
+/// partition.
+struct EngineView<'a> {
+    engines: &'a HashMap<(NodeId, ModelId), NodeEngine>,
+    model: ModelId,
 }
 
-impl ClusterState for StateSnapshot {
+impl EngineView<'_> {
+    fn engine(&self, node: NodeId) -> Option<&NodeEngine> {
+        self.engines.get(&(node, self.model))
+    }
+}
+
+impl ClusterState for EngineView<'_> {
     fn queue_len(&self, node: NodeId) -> usize {
-        self.queue_len.get(&node).copied().unwrap_or(0)
+        self.engine(node)
+            .map_or(0, |e| e.queue_len() + usize::from(e.is_busy()))
     }
     fn recent_throughput(&self, node: NodeId) -> f64 {
-        self.throughput.get(&node).copied().unwrap_or(0.0)
+        self.engine(node).map_or(0.0, NodeEngine::recent_throughput)
     }
     fn kv_used_tokens(&self, node: NodeId) -> f64 {
-        self.kv_used.get(&node).copied().unwrap_or(0.0)
+        self.engine(node).map_or(0.0, NodeEngine::kv_used_tokens)
     }
     fn kv_capacity_tokens(&self, node: NodeId) -> f64 {
-        self.kv_capacity
-            .get(&node)
-            .copied()
-            .unwrap_or(f64::INFINITY)
+        self.engine(node)
+            .map_or(f64::INFINITY, NodeEngine::kv_capacity_tokens)
     }
 }
 
@@ -118,28 +125,6 @@ pub struct CompletionRecord {
     pub model: ModelId,
     /// Virtual time its final output token reached the coordinator.
     pub at: SimTime,
-}
-
-/// What a promoted request resumes with after its primary failed: the
-/// replica pipeline it re-routes onto and the progress that survived.  The
-/// coordinator re-admits the request under a new epoch, seeds the replicated
-/// tokens as KV residency on the promoted pipeline, and recomputes only the
-/// tokens decoded since the last replicated chunk — the bounded-loss
-/// contract.  Metrics continuity rides along: arrival and first-token times
-/// belong to the original admission, and already-delivered tokens are not
-/// re-emitted.
-#[derive(Debug, Clone)]
-struct ResumeCredit {
-    /// The pipeline with failed stage nodes substituted by their standbys.
-    pipeline: RequestPipeline,
-    /// Sequence tokens (prompt + decode) durable on the standbys.
-    resume_tokens: usize,
-    /// Output tokens already delivered to the coordinator.
-    generated: usize,
-    /// Original admission's arrival time.
-    arrival_time: SimTime,
-    /// Original admission's first-token time, if the prompt had finished.
-    first_token_time: Option<SimTime>,
 }
 
 /// The full result of a [`ClusterSimulator::run_with_events`] run: end-of-run
@@ -176,7 +161,8 @@ pub struct FleetRunReport {
 /// the fleet planner assigned it, while network links are shared across
 /// models, so cross-model link contention emerges naturally.
 ///
-/// The simulator **owns** its [`FleetTopology`], because
+/// The simulator **owns** its [`FleetTopology`] (inside its [`ControlCore`],
+/// whose decisions it turns into event pushes and engine calls), because
 /// [`ClusterSimulator::run_with_events`] closes the loop mid-run: engines are
 /// observed over windows, a [`ReplanPolicy`] decides when the observed
 /// throughput gap warrants action, and [`FleetTopology::replan`] re-derives
@@ -188,32 +174,19 @@ pub struct FleetRunReport {
 /// pipeline.
 ///
 /// To drive the simulator through the same submit → drain → finish surface
-/// as the threaded runtime's serving session, wrap it in a
+/// as the async runtime's serving session, wrap it in a
 /// [`SimSession`](crate::SimSession).
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 pub struct ClusterSimulator {
-    fleet: FleetTopology,
-    schedulers: Vec<Box<dyn Scheduler>>,
-    /// Per-model cache-aware routers layered over the base schedulers.
-    prefix_routers: Vec<PrefixRouter>,
+    /// The control decisions (admission, replication, fail-over, re-plan)
+    /// this simulator drives, shared with the runtime coordinator.
+    core: ControlCore,
     engines: HashMap<(NodeId, ModelId), NodeEngine>,
     links: HashMap<(Option<NodeId>, Option<NodeId>), LinkQueue>,
     /// Active slowdown perturbations by node (applied to engines created by
     /// later re-plans too).
     slowdowns: HashMap<NodeId, f64>,
-    /// Nodes that failed mid-run.
-    failed: HashSet<NodeId>,
-    /// The fleet-wide KV replication policy (disabled by default: RF 1,
-    /// every failure falls back to abort-and-readmit).
-    replication: ReplicationPolicy,
-    /// Per-request replication progress toward the standby tenancies.
-    replica_tracker: ReplicaTracker,
-    /// Fail-over log of the current run, drained into its report.
-    failovers: Vec<FailoverRecord>,
-    /// Promotion credit of requests awaiting re-admission onto their
-    /// replica pipelines (consumed by `admit_request`).
-    resume: HashMap<RequestId, ResumeCredit>,
     /// Node-level health membership, driven by observation-tick heartbeats
     /// and failure/straggler overrides.
     node_health: NodeDirectory,
@@ -271,19 +244,11 @@ impl ClusterSimulator {
             }
         }
         let num_models = schedulers.len();
-        let prefix_routers = (0..num_models).map(|_| PrefixRouter::new()).collect();
         ClusterSimulator {
-            fleet,
-            schedulers,
-            prefix_routers,
+            core: ControlCore::new(fleet, schedulers),
             engines,
             links: HashMap::new(),
             slowdowns: HashMap::new(),
-            failed: HashSet::new(),
-            replication: ReplicationPolicy::disabled(),
-            replica_tracker: ReplicaTracker::new(),
-            failovers: Vec::new(),
-            resume: HashMap::new(),
             node_health: NodeDirectory::default(),
             prefix_forwards: vec![HashMap::new(); num_models],
             rejoin_ranges: HashMap::new(),
@@ -292,19 +257,19 @@ impl ClusterSimulator {
 
     /// The fleet plan the simulator currently serves (re-plans update it).
     pub fn fleet(&self) -> &FleetTopology {
-        &self.fleet
+        self.core.fleet()
     }
 
     /// Sets the fleet-wide KV replication policy.  Takes effect for requests
     /// admitted afterwards; [`ReplicationPolicy::disabled`] (the default)
     /// reproduces pure abort-and-readmit recovery.
     pub fn set_replication(&mut self, policy: ReplicationPolicy) {
-        self.replication = policy;
+        self.core.set_replication(policy);
     }
 
     /// The current replication policy.
     pub fn replication(&self) -> ReplicationPolicy {
-        self.replication
+        self.core.replication()
     }
 
     /// The node-level health directory (heartbeats ride the observation
@@ -315,27 +280,27 @@ impl ClusterSimulator {
 
     /// The topology the simulator runs for one model.
     pub fn model_topology(&self, model: ModelId) -> Option<&Topology> {
-        self.fleet.model(model)
+        self.core.fleet().model(model)
     }
 
     /// Number of models the simulator serves.
     pub fn num_models(&self) -> usize {
-        self.schedulers.len()
+        self.core.num_models()
     }
 
     /// The topology the simulator is running (the first model's lane).
     pub fn topology(&self) -> &Topology {
-        &self.fleet.topologies()[0]
+        &self.core.fleet().topologies()[0]
     }
 
     /// The placement the simulator is running for one model.
     pub fn model_placement(&self, model: ModelId) -> Option<&ModelPlacement> {
-        self.fleet.model(model).map(Topology::placement)
+        self.core.fleet().model(model).map(Topology::placement)
     }
 
     /// The placement the simulator is running (the first model's lane).
     pub fn placement(&self) -> &ModelPlacement {
-        self.fleet.topologies()[0].placement()
+        self.core.fleet().topologies()[0].placement()
     }
 
     /// Runs the simulation of `workload` and returns the combined metrics.
@@ -382,11 +347,12 @@ impl ClusterSimulator {
         events: &[PerturbationEvent],
         policy: Option<ReplanPolicy>,
     ) -> FleetRunReport {
-        let num_models = self.schedulers.len();
+        let num_models = self.core.num_models();
         let mut queue = EventQueue::new();
         // Each run's timeline restarts at zero; links and engines keep their
         // cumulative counters but must not stay "busy" (or frozen) into the
-        // new epoch.
+        // new epoch, and the control core forgets times of the old one.
+        self.core.rebase_epoch();
         for link in self.links.values_mut() {
             link.rebase_epoch();
         }
@@ -468,17 +434,10 @@ impl ClusterSimulator {
 
         // Feedback-loop state.
         let mut intervals: Vec<IntervalMetrics> = Vec::new();
-        let mut replans: Vec<ReplanRecord> = Vec::new();
         let mut kv_transfers: Vec<KvTransferRecord> = Vec::new();
         let mut completions: Vec<CompletionRecord> = Vec::new();
         let mut last_tick: SimTime = 0.0;
-        let mut last_replan: Option<SimTime> = None;
         let mut interval_base: Vec<u64> = vec![0; num_models];
-        let mut windows = ObservationWindows::new();
-        // Admission epoch per request: bumped when a node failure aborts an
-        // in-flight pipeline, so stale work from the old incarnation is
-        // dropped instead of corrupting the re-admitted one.
-        let mut epochs: HashMap<RequestId, u64> = HashMap::new();
 
         while let Some((time, event)) = queue.pop() {
             if time > end_time {
@@ -502,15 +461,7 @@ impl ClusterSimulator {
                         backlog.push_back(request);
                         continue;
                     }
-                    self.admit_request(
-                        request,
-                        &specs,
-                        &epochs,
-                        &mut states,
-                        &mut queue,
-                        now,
-                        &mut active,
-                    );
+                    self.admit_request(request, &specs, &mut states, &mut queue, now, &mut active);
                 }
                 Event::NodeArrival { node, item } => {
                     if states
@@ -558,27 +509,29 @@ impl ClusterSimulator {
                     }
                     let model = state.pipeline.model;
                     let m = model.index();
-                    let was_first = state.first_token_time.is_none();
-                    state.generated += 1;
+                    // The first token of this incarnation ends its prompt pass.
+                    let prompt_done = state.progress.generated == 0;
                     let in_window = now >= config.warmup_secs;
-                    total_decode_tokens[m] += 1;
-                    if in_window {
-                        decode_tokens[m] += 1;
-                    }
-                    if state.first_token_time.is_none() {
-                        state.first_token_time = Some(now);
+                    // A token re-decoded after an abort reached the client
+                    // before: it counts in no metric.
+                    if state.progress.advance() {
+                        total_decode_tokens[m] += 1;
                         if in_window {
-                            prompt_latencies[m].push(now - state.arrival_time);
+                            decode_tokens[m] += 1;
                         }
-                    } else if let Some(last) = state.last_token_time {
-                        let gap = now - last;
-                        state.decode_gaps.push(gap);
-                        if in_window {
-                            decode_gaps[m].push(gap);
+                        if state.progress.first_token.is_none() {
+                            state.progress.first_token = Some(now);
+                            if in_window {
+                                prompt_latencies[m].push(now - state.progress.arrival);
+                            }
+                        } else if let Some(last) = state.last_token_time {
+                            if in_window {
+                                decode_gaps[m].push(now - last);
+                            }
                         }
+                        state.last_token_time = Some(now);
                     }
-                    state.last_token_time = Some(now);
-                    if state.generated >= state.output_tokens {
+                    if state.progress.generated >= state.output_tokens {
                         state.finish_time = Some(now);
                         if in_window {
                             completed[m] += 1;
@@ -605,15 +558,13 @@ impl ClusterSimulator {
                             for node in state.pipeline.nodes() {
                                 self.release_prefix_at(model, node, p.id);
                             }
-                            self.prefix_routers[model.index()].release(p.id);
                         }
-                        self.replica_tracker.finish(request);
+                        self.core.complete(request, model, state.prefix);
                         active = active.saturating_sub(1);
                         if let Some(next) = backlog.pop_front() {
                             self.admit_request(
                                 next,
                                 &specs,
-                                &epochs,
                                 &mut states,
                                 &mut queue,
                                 now,
@@ -621,27 +572,12 @@ impl ClusterSimulator {
                             );
                         }
                     } else {
-                        // Trickle KV replication as decode proceeds: prompt
-                        // completion (the first token) force-replicates
-                        // everything cached so far, then whole chunks ship at
-                        // every chunk boundary, per stage, over the
-                        // primary→standby links like any other transfer.
-                        if self.replica_tracker.is_tracked(request) {
-                            let total = state.prompt_tokens + state.generated;
-                            let stage_layers: Vec<usize> = state
-                                .pipeline
-                                .stages
-                                .iter()
-                                .map(|s| s.layers.len())
-                                .collect();
-                            self.trickle_replication(
-                                request,
-                                model,
-                                total,
-                                &stage_layers,
-                                was_first,
-                                now,
-                            );
+                        let total = state.prompt_tokens + state.progress.generated;
+                        if let Some(trickle) =
+                            self.core
+                                .trickle(request, &state.pipeline, total, prompt_done)
+                        {
+                            self.ship_replicas(request, model, &trickle, now);
                         }
                         // Schedule the next decode iteration over the same pipeline.
                         let first = state.pipeline.stages[0];
@@ -671,10 +607,8 @@ impl ClusterSimulator {
                         perturbation,
                         time,
                         &mut states,
-                        &mut epochs,
                         &mut queue,
                         &mut active,
-                        &mut replans,
                         &mut kv_transfers,
                     );
                 }
@@ -709,28 +643,12 @@ impl ClusterSimulator {
                     }
                     // 2. Measure the engines.
                     let window = (time - last_tick).max(1e-9);
-                    let observed = self.collect_observations(window, &mut windows);
+                    let observed = self.collect_observations(window);
                     // 3. Consult the policy: measured speeds vs the speeds
                     // the current plan already priced in.
                     if let Some(policy) = policy {
-                        if let Some((node, model, speed)) = policy.should_replan(
-                            &observed,
-                            self.fleet.observations(),
-                            time,
-                            last_replan,
-                        ) {
-                            let applied = self.apply_replan(
-                                &PlacementDelta::new(),
-                                &observed,
-                                time,
-                                ReplanReason::ThroughputGap { node, model, speed },
-                                &mut queue,
-                                &mut replans,
-                                &mut kv_transfers,
-                            );
-                            if applied {
-                                last_replan = Some(time);
-                            }
+                        if let Some(replan) = self.core.policy_tick(&policy, &observed, time) {
+                            self.enact(replan, time, &mut queue, &mut kv_transfers);
                         }
                     }
                     last_tick = time;
@@ -802,36 +720,28 @@ impl ClusterSimulator {
             node_utilization,
             link_stats,
         };
-        // Per-run prefix counters: taken (not copied) so back-to-back runs
-        // on one simulator — e.g. session drains — each report their own.
-        let mut prefix = PrefixStats::default();
-        for router in &mut self.prefix_routers {
-            prefix.merge(&router.take_stats());
-        }
+        // Per-run logs and counters are taken (not copied) so back-to-back
+        // runs on one simulator — e.g. session drains — each report their own.
         FleetRunReport {
             metrics: FleetMetrics { overall, per_model },
             intervals,
-            replans,
+            replans: self.core.take_replans(),
             kv_transfers,
             completions,
-            prefix,
-            failovers: std::mem::take(&mut self.failovers),
-            replication: self.replica_tracker.take_stats(),
+            prefix: self.core.take_prefix_stats(),
+            failovers: self.core.take_failovers(),
+            replication: self.core.take_replication_stats(),
         }
     }
 
     /// Measures every engine's window deltas into a [`NodeObservations`]
-    /// snapshot via the shared [`ObservationWindows`] accumulator (the same
-    /// measurement math the runtime coordinator runs), against the speeds
-    /// the current plan already priced in.
-    fn collect_observations(
-        &self,
-        window: f64,
-        windows: &mut ObservationWindows,
-    ) -> NodeObservations {
+    /// snapshot through the control core (the same measurement math the
+    /// runtime coordinator runs), against the speeds the current plan
+    /// already priced in.
+    fn collect_observations(&mut self, window: f64) -> NodeObservations {
         let mut observed = NodeObservations::new();
         for (&(node, model), engine) in &self.engines {
-            windows.measure(
+            self.core.measure(
                 &mut observed,
                 node,
                 model,
@@ -841,7 +751,6 @@ impl ClusterSimulator {
                     tokens: engine.tokens_processed,
                 },
                 window,
-                self.fleet.observations(),
             );
         }
         observed
@@ -853,10 +762,8 @@ impl ClusterSimulator {
         perturbation: PerturbationEvent,
         time: SimTime,
         states: &mut HashMap<RequestId, RequestState>,
-        epochs: &mut HashMap<RequestId, u64>,
         queue: &mut EventQueue,
         active: &mut usize,
-        replans: &mut Vec<ReplanRecord>,
         kv_transfers: &mut Vec<KvTransferRecord>,
     ) {
         match perturbation {
@@ -913,10 +820,8 @@ impl ClusterSimulator {
                     ReplanReason::NodeFailure { node },
                     time,
                     states,
-                    epochs,
                     queue,
                     active,
-                    replans,
                     kv_transfers,
                 );
             }
@@ -926,13 +831,7 @@ impl ClusterSimulator {
                 // The coordinator cannot tell a partition from a crash: the
                 // unreachable side fails as a region outage, and every node
                 // rejoins when the partition heals.
-                let nodes: Vec<NodeId> = self.fleet.profiles()[0]
-                    .cluster()
-                    .nodes()
-                    .iter()
-                    .filter(|n| n.region == region)
-                    .map(|n| n.id)
-                    .collect();
+                let nodes = self.region_nodes(region);
                 if !nodes.is_empty() {
                     let heal = time + heal_secs.max(0.0);
                     for &n in &nodes {
@@ -943,16 +842,14 @@ impl ClusterSimulator {
                         ReplanReason::RegionOutage { region },
                         time,
                         states,
-                        epochs,
                         queue,
                         active,
-                        replans,
                         kv_transfers,
                     );
                 }
             }
             PerturbationEvent::NodeRejoin { node, .. } => {
-                self.rejoin_node(node, time, queue, replans, kv_transfers);
+                self.rejoin_node(node, time, queue, kv_transfers);
             }
             PerturbationEvent::NodeFailure { node, .. } => {
                 self.fail_nodes(
@@ -960,35 +857,23 @@ impl ClusterSimulator {
                     ReplanReason::NodeFailure { node },
                     time,
                     states,
-                    epochs,
                     queue,
                     active,
-                    replans,
                     kv_transfers,
                 );
             }
             PerturbationEvent::RegionOutage { region, .. } => {
-                // Resolve the region's nodes against the fleet's cluster
-                // spec (all profiles share one spec) and fail them together:
-                // one abort/re-admit sweep, one re-plan removing the whole
-                // region.
-                let nodes: Vec<NodeId> = self.fleet.profiles()[0]
-                    .cluster()
-                    .nodes()
-                    .iter()
-                    .filter(|n| n.region == region)
-                    .map(|n| n.id)
-                    .collect();
+                // Fail the region's nodes together: one abort/re-admit
+                // sweep, one re-plan removing the whole region.
+                let nodes = self.region_nodes(region);
                 if !nodes.is_empty() {
                     self.fail_nodes(
                         &nodes,
                         ReplanReason::RegionOutage { region },
                         time,
                         states,
-                        epochs,
                         queue,
                         active,
-                        replans,
                         kv_transfers,
                     );
                 }
@@ -1004,27 +889,33 @@ impl ClusterSimulator {
                 ..
             } => {
                 let delta = PlacementDelta::new().migrate(model, from, to, layers);
-                let observed = self.fleet.observations().clone();
-                self.apply_replan(
-                    &delta,
-                    &observed,
-                    time,
-                    ReplanReason::Manual,
-                    queue,
-                    replans,
-                    kv_transfers,
-                );
+                if let Some(replan) = self.core.apply_delta(&delta, ReplanReason::Manual, time) {
+                    self.enact(replan, time, queue, kv_transfers);
+                }
             }
         }
     }
 
+    /// The nodes of `region`, resolved against the fleet's cluster spec (all
+    /// profiles share one spec).
+    fn region_nodes(&self, region: Region) -> Vec<NodeId> {
+        self.core.fleet().profiles()[0]
+            .cluster()
+            .nodes()
+            .iter()
+            .filter(|n| n.region == region)
+            .map(|n| n.id)
+            .collect()
+    }
+
     /// Fails a set of nodes at once (one node for [`NodeFailure`], a whole
-    /// region for [`RegionOutage`]): their engines stop, every *unfinished*
-    /// pipeline crossing a dead node is aborted and its request re-admitted
+    /// region for [`RegionOutage`]): their engines stop, and the control
+    /// core takes every *unfinished* pipeline crossing a dead node off it
     /// under a new epoch (stale work of the old incarnation is dropped on
-    /// arrival), the KV pages it held anywhere are purged, and one re-plan
-    /// removes all the dead nodes from every model's placement.  Completed
-    /// requests keep their state — and their counted completion — untouched.
+    /// arrival) and re-plans the dead nodes away.  The KV pages each doomed
+    /// request held anywhere are purged and it arrives again at once, to be
+    /// promoted onto its standbys or restarted.  Completed requests keep
+    /// their state — and their counted completion — untouched.
     ///
     /// [`NodeFailure`]: PerturbationEvent::NodeFailure
     /// [`RegionOutage`]: PerturbationEvent::RegionOutage
@@ -1035,14 +926,11 @@ impl ClusterSimulator {
         reason: ReplanReason,
         time: SimTime,
         states: &mut HashMap<RequestId, RequestState>,
-        epochs: &mut HashMap<RequestId, u64>,
         queue: &mut EventQueue,
         active: &mut usize,
-        replans: &mut Vec<ReplanRecord>,
         kv_transfers: &mut Vec<KvTransferRecord>,
     ) {
         for &node in nodes {
-            self.failed.insert(node);
             self.node_health.mark_down(node);
             for ((n, _), engine) in self.engines.iter_mut() {
                 if *n == node {
@@ -1050,26 +938,24 @@ impl ClusterSimulator {
                 }
             }
         }
-        let mut doomed: Vec<RequestId> = states
+        let in_flight = states
             .iter()
-            .filter(|(_, s)| {
-                s.finish_time.is_none() && nodes.iter().any(|n| s.pipeline.nodes().contains(n))
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        // Deterministic re-admission order (map iteration order is not).
-        doomed.sort_unstable();
-        let mut record = FailoverRecord {
-            at: time,
-            node: nodes[0],
-            promoted: Vec::new(),
-            aborted: Vec::new(),
-            tokens_recomputed: 0,
-            abort_recompute_tokens: 0,
-            replica_tokens_used: 0,
-        };
-        for id in doomed {
-            let state = states.remove(&id).expect("listed above");
+            .filter(|(_, s)| s.finish_time.is_none())
+            .map(|(&id, s)| InFlightRequest {
+                id,
+                prompt_tokens: s.prompt_tokens,
+                pipeline: &s.pipeline,
+                prefix: s.prefix,
+                progress: s.progress,
+            });
+        let engines = &self.engines;
+        let failover = self
+            .core
+            .fail_nodes(nodes, reason, time, in_flight, |node, model| {
+                engines.contains_key(&(node, model))
+            });
+        for id in failover.doomed {
+            let state = states.remove(&id).expect("doomed requests are in flight");
             let model = state.pipeline.model;
             // Purge the stranded incarnation's KV on *every* engine of its
             // model: pipeline nodes, migration destinations seeded with its
@@ -1085,106 +971,34 @@ impl ClusterSimulator {
                 for n in state.pipeline.nodes() {
                     self.release_prefix_at(model, n, p.id);
                 }
-                self.prefix_routers[model.index()].release(p.id);
             }
-            *epochs.entry(id).or_insert(0) += 1;
             *active = active.saturating_sub(1);
-            // Fail-over: a replicated request promotes its standbys and
-            // resumes from the last replicated chunk — only the tokens
-            // decoded since then are recomputed.  Without a (live) replica
-            // it falls back to abort-and-readmit from token zero.
-            let total = state.prompt_tokens + state.generated;
-            match self.promote_pipeline(id, &state.pipeline, nodes) {
-                Some(promoted) => {
-                    let resume_tokens = self.replica_tracker.replicated_tokens(id).min(total);
-                    record.promoted.push(id);
-                    record.tokens_recomputed += total.saturating_sub(resume_tokens) as u64;
-                    record.abort_recompute_tokens += total as u64;
-                    record.replica_tokens_used += resume_tokens as u64;
-                    self.resume.insert(
-                        id,
-                        ResumeCredit {
-                            pipeline: promoted,
-                            resume_tokens,
-                            generated: state.generated,
-                            arrival_time: state.arrival_time,
-                            first_token_time: state.first_token_time,
-                        },
-                    );
-                }
-                None => {
-                    record.aborted.push(id);
-                    record.tokens_recomputed += total as u64;
-                    record.abort_recompute_tokens += total as u64;
-                }
-            }
-            self.replica_tracker.finish(id);
             queue.push(time, Event::RequestArrival { request: id });
         }
-        self.failovers.push(record);
-        // Dead pipelines must not stay prefix homes.  The re-plan below
-        // clears routers only when it succeeds; when removing the nodes is
-        // infeasible (they were load-bearing) the old plan keeps serving,
-        // so evict exactly the homes that crossed a dead node — otherwise
-        // later sharers would "hit" a pipeline that no longer executes.
-        for router in &mut self.prefix_routers {
-            for &node in nodes {
-                router.evict_node(node);
-            }
+        if let Some(replan) = failover.replan {
+            self.enact(replan, time, queue, kv_transfers);
         }
-        // Structural change: re-plan immediately with one removal delta
-        // covering every dead node, keeping whatever observations are
-        // already priced in.
-        let mut delta = PlacementDelta::new();
-        for &node in nodes {
-            delta = delta.remove_node(node, self.fleet.num_models());
-        }
-        let observed = self.fleet.observations().clone();
-        self.apply_replan(
-            &delta,
-            &observed,
-            time,
-            reason,
-            queue,
-            replans,
-            kv_transfers,
-        );
     }
 
-    /// Applies one re-plan: mutates the owned fleet plan, swaps the affected
-    /// models' schedulers (drain-then-switch — in-flight pipelines keep their
-    /// routes), reconciles the engine set with the new plan and performs the
-    /// KV hand-over of any partial-layer migration the delta carried.
-    /// Returns whether the re-plan was applied; an infeasible re-plan (e.g.
-    /// a failed node was load-bearing) leaves the current plan serving.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_replan(
+    /// Carries out a re-plan the control core applied: installs the
+    /// affected models' new schedulers at once (drain-then-switch —
+    /// in-flight pipelines keep their routes), reconciles the engine set
+    /// with the new plan and performs the KV hand-over of any partial-layer
+    /// migration the delta carried.
+    fn enact(
         &mut self,
-        delta: &PlacementDelta,
-        observed: &NodeObservations,
+        replan: Replan,
         time: SimTime,
-        reason: ReplanReason,
         queue: &mut EventQueue,
-        replans: &mut Vec<ReplanRecord>,
         kv_transfers: &mut Vec<KvTransferRecord>,
-    ) -> bool {
-        let outcome = match self.fleet.replan(delta, observed) {
-            Ok(outcome) => outcome,
-            Err(_) => return false,
-        };
-        for &model in &outcome.affected {
-            let topology = self.fleet.model(model).expect("affected model exists");
-            // Hand-over step 1: new IWRR weights for new requests.  A model
-            // whose re-planned flow is zero keeps its old scheduler
-            // (serving degraded beats serving nothing).
-            if let Ok(scheduler) = IwrrScheduler::from_topology(topology) {
-                self.schedulers[model.index()] = Box::new(scheduler);
-            }
-            // Pipelines of the old plan are stale prefix homes: forget them.
-            // In-flight references stay balanced through their own release
-            // path; only future routing is affected.
-            self.prefix_routers[model.index()].clear();
-            // Hand-over step 2: reconcile engines.  Existing engines take
+    ) {
+        for (model, scheduler) in replan.schedulers {
+            self.core.install_scheduler(model, scheduler);
+        }
+        for &model in &replan.affected {
+            let fleet = self.core.fleet();
+            let topology = fleet.model(model).expect("affected model exists");
+            // Reconcile engines.  Existing engines take
             // the new layer count / KV budget in place (their queues and
             // cached tokens survive) *and rebuild their execution cost model
             // from the re-derived contention split*, so a surviving engine
@@ -1199,7 +1013,7 @@ impl ClusterSimulator {
             // Engines run at the analytic contention split; observed speed
             // factors only re-price planning (the engine's own `slowdown`
             // already delivers the physical degradation being measured).
-            let profile = self.fleet.contention_profile(model);
+            let profile = fleet.contention_profile(model);
             for (node, layers, kv_capacity) in planned {
                 match self.engines.get_mut(&(node, model)) {
                     Some(engine) => {
@@ -1211,7 +1025,7 @@ impl ClusterSimulator {
                         if let Some(&factor) = self.slowdowns.get(&node) {
                             engine.set_slowdown(factor);
                         }
-                        if self.failed.contains(&node) {
+                        if self.core.is_failed(node) {
                             engine.fail();
                         }
                         self.engines.insert((node, model), engine);
@@ -1219,13 +1033,14 @@ impl ClusterSimulator {
                 }
             }
         }
-        // Hand-over step 3: move the KV state of each migration.  The moved
+        // Move the KV state of each migration.  The moved
         // pages travel as real traffic on the `from → to` link (queueing
         // behind activations), and both ends freeze *only the migrated
         // layer range* until the transfer lands — freeze → transfer →
-        // re-route (step 1 above) → resume.  Requests whose stages run on
-        // disjoint layers of the same nodes keep decoding throughout.
-        for migration in &outcome.migrations {
+        // re-route (the scheduler install above) → resume.  Requests whose
+        // stages run on disjoint layers of the same nodes keep decoding
+        // throughout.
+        for migration in &replan.migrations {
             let m = migration.model;
             let Some(source) = self.engines.get(&(migration.from, m)) else {
                 continue;
@@ -1237,7 +1052,7 @@ impl ClusterSimulator {
             let tokens: f64 = snapshot.iter().map(|&(_, t)| t).sum::<f64>()
                 + prefix_snapshot.iter().map(|&(_, t, _)| t).sum::<f64>();
             let transfer = KvTransferModel::new(
-                self.fleet.profiles()[m.index()]
+                self.core.fleet().profiles()[m.index()]
                     .model()
                     .kv_bytes_per_token_per_layer(),
                 DEFAULT_TOKENS_PER_PAGE,
@@ -1245,7 +1060,7 @@ impl ClusterSimulator {
             let pages = transfer.pages(tokens);
             let bytes = transfer.bytes(tokens, migration.layers.len());
             let arrival = self.link_transfer(Some(migration.from), Some(migration.to), time, bytes);
-            let source_retired = self.fleet.placement().placements()[m.index()]
+            let source_retired = self.core.fleet().placement().placements()[m.index()]
                 .range(migration.from)
                 .is_none();
             if let Some(engine) = self.engines.get_mut(&(migration.from, m)) {
@@ -1298,13 +1113,6 @@ impl ClusterSimulator {
                 transfer_secs: arrival - time,
             });
         }
-        replans.push(ReplanRecord {
-            at: time,
-            reason,
-            affected: outcome.affected,
-            planned_flow: self.fleet.total_flow_value(),
-        });
-        true
     }
 
     /// The standing engine of one (node, model) pair, if any — exposed so
@@ -1313,112 +1121,23 @@ impl ClusterSimulator {
         self.engines.get(&(node, model))
     }
 
-    /// Starts replication tracking for a newly admitted request when the
-    /// policy marks it hot *and* every pipeline stage has a live standby
-    /// whose layer range covers it; otherwise the request runs unreplicated
-    /// and a failure falls back to abort-and-readmit.  Promoted incarnations
-    /// are not re-tracked — the replication factor applies from admission.
-    fn begin_replication(
-        &mut self,
-        request: RequestId,
-        pipeline: &RequestPipeline,
-        output_tokens: usize,
-    ) {
-        if !self.replication.replicates(output_tokens) {
-            return;
-        }
-        let model = pipeline.model;
-        let Some(topology) = self.fleet.model(model) else {
-            return;
-        };
-        let candidates: Vec<(NodeId, LayerRange)> = topology
-            .nodes()
-            .filter(|n| !self.failed.contains(&n.node))
-            .map(|n| (n.node, n.layers))
-            .collect();
-        let mut standbys = Vec::with_capacity(pipeline.stages.len());
-        for stage in &pipeline.stages {
-            match select_standby(stage.node, stage.layers, &candidates) {
-                Some(standby) => standbys.push((stage.node, standby)),
-                None => return,
-            }
-        }
-        self.replica_tracker.begin(request, standbys);
-    }
-
-    /// Ships one replication milestone: the newly durable token delta (if
-    /// the chunk boundary was crossed, or the prompt just completed) travels
-    /// from every primary stage to its standby over the real links, priced
-    /// by the shared [`KvTransferModel`], and the standby engines seed the
-    /// durable tokens as KV residency — replication steals serving
+    /// Ships one replication milestone over the real links, from every
+    /// primary stage to its standby, and seeds the durable tokens as KV
+    /// residency on the standby engines — replication steals serving
     /// bandwidth and KV headroom, which is exactly the trade-off measured.
-    fn trickle_replication(
+    fn ship_replicas(
         &mut self,
         request: RequestId,
         model: ModelId,
-        total_tokens: usize,
-        stage_layers: &[usize],
-        force: bool,
+        trickle: &Trickle,
         now: SimTime,
     ) {
-        let delta = self.replica_tracker.record_progress(
-            request,
-            total_tokens,
-            self.replication.chunk_tokens,
-            force,
-        );
-        if delta == 0 {
-            return;
-        }
-        let durable = self.replica_tracker.replicated_tokens(request);
-        let standbys: Vec<(NodeId, NodeId)> = self.replica_tracker.standbys(request).to_vec();
-        let transfer = KvTransferModel::new(
-            self.fleet.profiles()[model.index()]
-                .model()
-                .kv_bytes_per_token_per_layer(),
-            DEFAULT_TOKENS_PER_PAGE,
-        );
-        for (i, &(primary, standby)) in standbys.iter().enumerate() {
-            let layers = stage_layers.get(i).copied().unwrap_or(1);
-            let bytes = transfer.bytes(delta as f64, layers);
+        for &(primary, standby, _, bytes) in &trickle.shipments {
             self.link_transfer(Some(primary), Some(standby), now, bytes);
-            self.replica_tracker.record_bytes(bytes);
             if let Some(engine) = self.engines.get_mut(&(standby, model)) {
-                engine.seed_kv(request, durable as f64);
+                engine.seed_kv(request, trickle.durable as f64);
             }
         }
-    }
-
-    /// Builds the promoted pipeline for `request`: every stage on a node
-    /// failing *now* is substituted by its standby.  `None` — untracked
-    /// request, no standby for a failed stage, or a standby that is itself
-    /// dead — falls back to abort-and-readmit.
-    fn promote_pipeline(
-        &self,
-        request: RequestId,
-        pipeline: &RequestPipeline,
-        failed_now: &[NodeId],
-    ) -> Option<RequestPipeline> {
-        if !self.replica_tracker.is_tracked(request) {
-            return None;
-        }
-        let standbys = self.replica_tracker.standbys(request);
-        let mut promoted = pipeline.clone();
-        for stage in &mut promoted.stages {
-            if failed_now.contains(&stage.node) {
-                let standby = standbys
-                    .iter()
-                    .find(|&&(primary, _)| primary == stage.node)
-                    .map(|&(_, s)| s)?;
-                if self.failed.contains(&standby)
-                    || !self.engines.contains_key(&(standby, pipeline.model))
-                {
-                    return None;
-                }
-                stage.node = standby;
-            }
-        }
-        Some(promoted)
     }
 
     /// Releases one shared-prefix reference at the node where the entry
@@ -1444,8 +1163,9 @@ impl ClusterSimulator {
     /// re-plan removes them) and schedules its rejoin.
     fn schedule_rejoin(&mut self, node: NodeId, at: SimTime, queue: &mut EventQueue) {
         let mut ranges: Vec<(ModelId, LayerRange)> = Vec::new();
-        for m in 0..self.fleet.num_models() {
-            if let Some(n) = self.fleet.model(ModelId(m)).and_then(|t| t.node(node)) {
+        let fleet = self.core.fleet();
+        for m in 0..fleet.num_models() {
+            if let Some(n) = fleet.model(ModelId(m)).and_then(|t| t.node(node)) {
                 ranges.push((ModelId(m), n.layers));
             }
         }
@@ -1465,10 +1185,9 @@ impl ClusterSimulator {
         node: NodeId,
         time: SimTime,
         queue: &mut EventQueue,
-        replans: &mut Vec<ReplanRecord>,
         kv_transfers: &mut Vec<KvTransferRecord>,
     ) {
-        if !self.failed.remove(&node) {
+        if !self.core.rejoin(node) {
             return;
         }
         for ((n, _), engine) in self.engines.iter_mut() {
@@ -1481,55 +1200,33 @@ impl ClusterSimulator {
         let mut delta = PlacementDelta::new();
         let mut missing = false;
         for (m, layers) in ranges {
-            if self.fleet.model(m).and_then(|t| t.node(node)).is_none() {
+            if self
+                .core
+                .fleet()
+                .model(m)
+                .and_then(|t| t.node(node))
+                .is_none()
+            {
                 delta = delta.assign(m, node, layers);
                 missing = true;
             }
         }
         if missing {
-            let observed = self.fleet.observations().clone();
-            self.apply_replan(
-                &delta,
-                &observed,
-                time,
-                ReplanReason::NodeRejoin { node },
-                queue,
-                replans,
-                kv_transfers,
-            );
-        }
-    }
-
-    /// Scheduler feedback for one model: queue/throughput/KV state of that
-    /// model's engines only, so per-model KV masking sees its own partition.
-    fn snapshot(&self, model: ModelId) -> StateSnapshot {
-        let mut queue_len = HashMap::new();
-        let mut throughput = HashMap::new();
-        let mut kv_used = HashMap::new();
-        let mut kv_capacity = HashMap::new();
-        for (&(node, m), engine) in &self.engines {
-            if m != model {
-                continue;
+            if let Some(replan) =
+                self.core
+                    .apply_delta(&delta, ReplanReason::NodeRejoin { node }, time)
+            {
+                self.enact(replan, time, queue, kv_transfers);
             }
-            queue_len.insert(node, engine.queue_len() + usize::from(engine.is_busy()));
-            throughput.insert(node, engine.recent_throughput());
-            kv_used.insert(node, engine.kv_used_tokens());
-            kv_capacity.insert(node, engine.kv_capacity_tokens());
-        }
-        StateSnapshot {
-            queue_len,
-            throughput,
-            kv_used,
-            kv_capacity,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Admits one arriving request through the control core and dispatches
+    /// its prompt pass; a request that must wait arrives again shortly.
     fn admit_request(
         &mut self,
         request: RequestId,
         specs: &HashMap<RequestId, Request>,
-        epochs: &HashMap<RequestId, u64>,
         states: &mut HashMap<RequestId, RequestState>,
         queue: &mut EventQueue,
         now: SimTime,
@@ -1539,173 +1236,80 @@ impl ClusterSimulator {
             return;
         };
         let model = spec.model;
-        if model.index() >= self.schedulers.len() {
-            return;
-        }
-        let epoch = epochs.get(&request).copied().unwrap_or(0);
-        // A promoted request skips scheduling: it resumes on the replica
-        // pipeline the fail-over controller built, seeds the replicated
-        // tokens as KV residency there, and recomputes only the cached
-        // tokens its standbys had not yet received.  Its arrival/first-token
-        // metrics continue from the original admission, and already-
-        // delivered output tokens are not re-emitted.
-        if let Some(credit) = self.resume.remove(&request) {
-            let pipeline = credit.pipeline;
-            for node in pipeline.nodes() {
-                if let Some(engine) = self.engines.get_mut(&(node, model)) {
-                    engine.seed_kv(request, credit.resume_tokens as f64);
-                }
-            }
-            let recompute = (spec.prompt_tokens + credit.generated)
-                .saturating_sub(credit.resume_tokens)
-                .max(1);
-            let first = pipeline.stages[0];
-            states.insert(
-                request,
-                RequestState {
-                    pipeline: pipeline.clone(),
-                    epoch,
-                    prompt_tokens: spec.prompt_tokens,
-                    output_tokens: spec.output_tokens,
-                    generated: credit.generated,
-                    arrival_time: credit.arrival_time,
-                    first_token_time: credit.first_token_time,
-                    last_token_time: None,
-                    decode_gaps: Vec::new(),
-                    finish_time: None,
-                    // The promoted incarnation holds no prefix reference —
-                    // the abort path already released the original's.
-                    prefix: None,
-                },
-            );
-            *active += 1;
-            let bytes = recompute as f64 * TOKEN_WIRE_BYTES;
-            let arrival = self.link_transfer(None, Some(first.node), now, bytes);
-            queue.push(
-                arrival,
-                Event::NodeArrival {
-                    node: first.node,
-                    item: WorkItem {
-                        request,
-                        epoch,
-                        model,
-                        phase: Phase::Prompt,
-                        tokens: recompute,
-                        layers: first.layers,
-                        stage_index: 0,
-                        prefix: None,
-                    },
-                },
-            );
-            return;
-        }
-        let snapshot = self.snapshot(model);
-        // Cache-aware routing: a prefix-tagged request goes to the pipeline
-        // already holding its prefix when that pipeline has KV headroom; a
-        // saturated home degrades to plain IWRR with sharing disabled.
-        let mut prefix_work: Option<PrefixWork> = None;
-        let mut routed: Option<RequestPipeline> = None;
-        let mut bypassed = false;
-        if let Some((pid, ptokens)) = spec.shared_prefix() {
-            match self.prefix_routers[model.index()].route(pid, ptokens, &snapshot) {
-                PrefixRoute::Hit {
-                    pipeline,
-                    shared_tokens,
-                } => {
-                    prefix_work = Some(PrefixWork {
-                        id: pid,
-                        tokens: shared_tokens,
-                        hit: true,
-                    });
-                    routed = Some(pipeline);
-                }
-                PrefixRoute::Miss => {
-                    prefix_work = Some(PrefixWork {
-                        id: pid,
-                        tokens: ptokens,
-                        hit: false,
-                    });
-                }
-                PrefixRoute::Bypass => bypassed = true,
-            }
-        }
-        let scheduled = match routed {
-            Some(pipeline) => Ok(pipeline),
-            None => self.schedulers[model.index()].schedule(&snapshot),
+        let admission = RequestSpec {
+            id: request,
+            model,
+            prompt_tokens: spec.prompt_tokens,
+            output_tokens: spec.output_tokens,
+            shared_prefix: spec.shared_prefix(),
         };
-        match scheduled {
-            Ok(mut pipeline) => {
-                pipeline.model = model;
-                match prefix_work {
-                    // A miss materialises the prefix: the scheduled pipeline
-                    // becomes its home for later sharers.
-                    Some(p) if !p.hit => {
-                        self.prefix_routers[model.index()].adopt(p.id, p.tokens, &pipeline)
-                    }
-                    None if bypassed => self.prefix_routers[model.index()].record_bypass(),
-                    _ => {}
+        let Ok(Some(Admitted {
+            pipeline,
+            epoch,
+            prefill_tokens,
+            prefix,
+            resume_tokens,
+            progress,
+        })) = self.core.admit(
+            &admission,
+            &EngineView {
+                engines: &self.engines,
+                model,
+            },
+        )
+        else {
+            // Every candidate is masked (e.g. KV caches full) or crosses a
+            // dead node: retry shortly.  Nothing was held for the request.
+            queue.push(now + 0.2, Event::RequestArrival { request });
+            return;
+        };
+        // Shared residency is attached (refcounted) on every pipeline node,
+        // the per-request KV entries holding only the suffix; a promoted
+        // request seeds the tokens its standbys already hold.
+        for node in pipeline.nodes() {
+            if let Some(engine) = self.engines.get_mut(&(node, model)) {
+                if let Some(p) = prefix {
+                    engine.attach_prefix(p.id, p.tokens as f64);
                 }
-                // Shared residency is attached (refcounted) on every pipeline
-                // node; the per-request KV entries hold only the suffix.
-                if let Some(p) = prefix_work {
-                    for node in pipeline.nodes() {
-                        if let Some(engine) = self.engines.get_mut(&(node, model)) {
-                            engine.attach_prefix(p.id, p.tokens as f64);
-                        }
-                    }
+                if let Some(tokens) = resume_tokens {
+                    engine.seed_kv(request, tokens as f64);
                 }
-                // A cache hit skips prefilling the shared range (that is the
-                // compute saving); at least one token still flows through the
-                // pipeline to produce the first output token.
-                let prefill_tokens = match prefix_work {
-                    Some(p) if p.hit => spec.prompt_tokens.saturating_sub(p.tokens).max(1),
-                    _ => spec.prompt_tokens,
-                };
-                let first = pipeline.stages[0];
-                states.insert(
-                    request,
-                    RequestState {
-                        pipeline: pipeline.clone(),
-                        epoch,
-                        prompt_tokens: spec.prompt_tokens,
-                        output_tokens: spec.output_tokens,
-                        generated: 0,
-                        arrival_time: spec.arrival_time.max(0.0).min(now),
-                        first_token_time: None,
-                        last_token_time: None,
-                        decode_gaps: Vec::new(),
-                        finish_time: None,
-                        prefix: prefix_work,
-                    },
-                );
-                *active += 1;
-                self.begin_replication(request, &pipeline, spec.output_tokens);
-                let bytes = prefill_tokens as f64 * TOKEN_WIRE_BYTES;
-                let arrival = self.link_transfer(None, Some(first.node), now, bytes);
-                queue.push(
-                    arrival,
-                    Event::NodeArrival {
-                        node: first.node,
-                        item: WorkItem {
-                            request,
-                            epoch,
-                            model,
-                            phase: Phase::Prompt,
-                            tokens: prefill_tokens,
-                            layers: first.layers,
-                            stage_index: 0,
-                            prefix: prefix_work,
-                        },
-                    },
-                );
-            }
-            Err(_) => {
-                // Every candidate is masked (e.g. KV caches full): retry
-                // shortly.  A hit never fails here; a miss was not adopted,
-                // so no reference leaks.
-                queue.push(now + 0.2, Event::RequestArrival { request });
             }
         }
+        let first = pipeline.stages[0];
+        states.insert(
+            request,
+            RequestState {
+                pipeline,
+                epoch,
+                prompt_tokens: spec.prompt_tokens,
+                output_tokens: spec.output_tokens,
+                progress: progress
+                    .unwrap_or_else(|| Progress::new(spec.arrival_time.max(0.0).min(now))),
+                last_token_time: None,
+                finish_time: None,
+                prefix,
+            },
+        );
+        *active += 1;
+        let bytes = prefill_tokens as f64 * TOKEN_WIRE_BYTES;
+        let arrival = self.link_transfer(None, Some(first.node), now, bytes);
+        queue.push(
+            arrival,
+            Event::NodeArrival {
+                node: first.node,
+                item: WorkItem {
+                    request,
+                    epoch,
+                    model,
+                    phase: Phase::Prompt,
+                    tokens: prefill_tokens,
+                    layers: first.layers,
+                    stage_index: 0,
+                    prefix,
+                },
+            },
+        );
     }
 
     fn route_onward(
@@ -1727,7 +1331,7 @@ impl ClusterSimulator {
         let next_index = item.stage_index + 1;
         if next_index < state.pipeline.stages.len() {
             let next = state.pipeline.stages[next_index];
-            let activation_bytes = self.fleet.topologies()[item.model.index()]
+            let activation_bytes = self.core.fleet().topologies()[item.model.index()]
                 .profile()
                 .model()
                 .activation_bytes();
@@ -1772,7 +1376,7 @@ impl ClusterSimulator {
     ) -> SimTime {
         // Link hardware is shared by every model; the first lane's profile
         // supplies the (model-independent) bandwidth and latency numbers.
-        let profile = self.fleet.topologies()[0].profile();
+        let profile = self.core.fleet().topologies()[0].profile();
         let link = self.links.entry((from, to)).or_insert_with(|| {
             let spec = profile.cluster().link(from, to);
             LinkQueue::new(spec.bandwidth_bytes_per_sec(), spec.latency_secs())

@@ -183,6 +183,10 @@ fn disabled_replication_falls_back_to_abort_and_readmit() {
     let report = run_failover(ReplicationPolicy::disabled());
 
     assert_eq!(report.metrics.overall.completed_requests, 48);
+    // Tokens an aborted request re-decodes were delivered before the
+    // failure: they add no decode count and no second TTFT sample.
+    assert_eq!(report.metrics.overall.decode_tokens, 48 * 24);
+    assert_eq!(report.metrics.overall.prompt_latency.count, 48);
     assert_eq!(report.failovers.len(), 1);
     let record = &report.failovers[0];
     assert!(record.promoted.is_empty());

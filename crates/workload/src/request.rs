@@ -9,7 +9,7 @@ pub type RequestId = u64;
 /// Handle returned by a serving front door when a request is submitted.
 ///
 /// A ticket wraps the submitted request's [`RequestId`]; session front ends
-/// (the threaded runtime's `ServingSession`, the simulator's `SimSession`)
+/// (the async runtime's `ServingSession`, the simulator's `SimSession`)
 /// hand it back so completions can be awaited per request.  Request ids must
 /// be unique within one session for tickets to be unambiguous.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]

@@ -14,7 +14,7 @@
 //! aborts every doomed pipeline and readmits it from scratch.
 //!
 //! The example asserts the headline guarantee on both the discrete-event
-//! simulator and the threaded prototype runtime: zero requests lost, and
+//! simulator and the async prototype runtime: zero requests lost, and
 //! strictly fewer tokens recomputed than abort-and-readmit would bill.
 //!
 //! ```text
@@ -131,7 +131,7 @@ fn main() {
     describe("sim", report.metrics.overall.completed_requests, aborted);
     println!();
 
-    // 3. RF=2 on the threaded prototype runtime: same guarantee, real
+    // 3. RF=2 on the async prototype runtime: same guarantee, real
     //    threads, real channels, wall-driven virtual clock.
     println!("runtime, RF=2 replication:");
     let session = ServingBuilder::new()

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  cache-blind : {:>7.1} tok/s", blind_tps);
     println!("  speed-up    : {:>7.2}x", aware_tps / blind_tps.max(1e-9));
 
-    // Prototype runtime: the same workload through the threaded surface.
+    // Prototype runtime: the same workload through the async surface.
     let runtime = |workload: &Workload| -> Result<RuntimeReport, Box<dyn std::error::Error>> {
         let session = ServingBuilder::new()
             .topology(&topology)

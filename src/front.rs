@@ -1,11 +1,11 @@
 //! One front door over both serving surfaces.
 //!
 //! The workspace has two executable models of a Helix cluster: the
-//! discrete-event simulator ([`helix_sim::ClusterSimulator`]) and the
-//! multi-threaded prototype runtime (`helix_runtime`).  Both now expose a
-//! session-shaped API — [`helix_runtime::ServingSession`] and
-//! [`helix_sim::SimSession`] — and this module ties them together with the
-//! [`ServingFrontEnd`] trait, so examples, tests and benches can drive either
+//! discrete-event simulator ([`helix_sim::ClusterSimulator`]) and the async
+//! prototype runtime (`helix_runtime`), two drivers of one control core
+//! ([`helix_core::control`]).  Both expose a session-shaped API —
+//! [`helix_runtime::ServingSession`] and [`helix_sim::SimSession`] — and this
+//! module ties them together with the [`ServingFrontEnd`] trait, so examples, tests and benches can drive either
 //! surface through one generic `submit → drain → finish` flow:
 //!
 //! ```rust,no_run
@@ -27,7 +27,7 @@ use std::convert::Infallible;
 /// A session-shaped serving surface: non-blocking submission, mid-run speed
 /// perturbation, drain and a final report.
 ///
-/// Implemented by [`ServingSession`] (threaded prototype runtime) and
+/// Implemented by [`ServingSession`] (async prototype runtime) and
 /// [`SimSession`] (discrete-event simulator).  The two return different
 /// report types — the runtime's per-request [`RuntimeReport`] and the
 /// simulator's windowed [`FleetRunReport`] — so the report is an associated
@@ -51,7 +51,7 @@ pub trait ServingFrontEnd {
     /// included: the fleet re-plans with the equivalent placement delta, the
     /// KV pages travel the `from → to` link as modelled traffic, and the
     /// hand-over sequences freeze → transfer → re-route → resume so no
-    /// in-flight pipeline drops.  On the threaded runtime the migration
+    /// in-flight pipeline drops.  On the async runtime the migration
     /// applies immediately; on the simulator it applies at the start of the
     /// next drained batch.
     fn migrate(&mut self, model: ModelId, from: NodeId, to: NodeId, layers: LayerRange);

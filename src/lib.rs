@@ -10,7 +10,7 @@
 //! * [`core`] — model placement (MILP + heuristics + annealing) and
 //!   per-request pipeline scheduling (IWRR + baselines).
 //! * [`sim`] — the discrete-event serving simulator.
-//! * [`runtime`] — the multi-threaded prototype serving runtime (coordinator,
+//! * [`runtime`] — the async prototype serving runtime (coordinator,
 //!   per-node workers with paged KV pools, network fabric).
 //! * [`workload`] — synthetic Azure-Conversation-style workloads.
 //! * [`front`] — the [`ServingFrontEnd`](front::ServingFrontEnd) trait: one

@@ -7,7 +7,7 @@
 //! per-region max-flow scheduling happens.  [`MultiRegionSession`] is that
 //! tier.  It is generic over [`ServingFrontEnd`], so the same router drives
 //! regions backed by the discrete-event simulator ([`SimSession`]), the
-//! threaded prototype runtime ([`ServingSession`]) — or another
+//! async prototype runtime ([`ServingSession`]) — or another
 //! `MultiRegionSession`, though one level is all the paper's geometry needs.
 //!
 //! ```text
